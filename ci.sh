@@ -7,11 +7,14 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --offline
 
-echo "==> cargo test -q (QCC_THREADS=1)"
-QCC_THREADS=1 cargo test -q --offline
+# --workspace: the crate-level suites (the exec.rs Work goldens, catalog,
+# calibration, queue and oracle unit tests) gate here too, not only the
+# root package's integration tests.
+echo "==> cargo test -q --workspace (QCC_THREADS=1)"
+QCC_THREADS=1 cargo test -q --offline --workspace
 
-echo "==> cargo test -q (QCC_THREADS=8)"
-QCC_THREADS=8 cargo test -q --offline
+echo "==> cargo test -q --workspace (QCC_THREADS=8)"
+QCC_THREADS=8 cargo test -q --offline --workspace
 
 echo "==> golden observability snapshots (QCC_THREADS=1 vs 8)"
 QCC_THREADS=1 cargo test -q --offline --test obs_determinism

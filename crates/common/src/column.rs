@@ -363,6 +363,62 @@ impl ColumnVector {
         }
     }
 
+    /// Gather cells into a new vector: `picks` are `(source, row)` pairs
+    /// into `sources`, copied in pick order.
+    ///
+    /// When every source is `Int` (or every source is `Float`), payloads
+    /// and null flags are copied slice to slice. Otherwise — strings,
+    /// `Mixed`, or sources of differing representations — each cell goes
+    /// through [`ColumnVector::push_cell`], starting from an
+    /// [`ColumnVector::empty_like`] of the first picked source. Both
+    /// routes build the same cells.
+    pub fn gather(
+        sources: &[&ColumnVector],
+        picks: impl IntoIterator<Item = (usize, usize)>,
+    ) -> ColumnVector {
+        let mut picks = picks.into_iter().peekable();
+        let n = picks.size_hint().0;
+        let Some(&(c0, _)) = picks.peek() else {
+            return sources
+                .first()
+                .map_or(ColumnVector::Mixed(Vec::new()), |s| s.empty_like());
+        };
+        match sources[c0] {
+            ColumnVector::Int { .. } => {
+                let typed: Option<Vec<(&[i64], &[bool])>> = sources
+                    .iter()
+                    .map(|s| match s {
+                        ColumnVector::Int { data, nulls } => Some((&data[..], &nulls[..])),
+                        _ => None,
+                    })
+                    .collect();
+                if let Some(typed) = typed {
+                    let (data, nulls) = gather_typed(&typed, picks, n);
+                    return ColumnVector::Int { data, nulls };
+                }
+            }
+            ColumnVector::Float { .. } => {
+                let typed: Option<Vec<(&[f64], &[bool])>> = sources
+                    .iter()
+                    .map(|s| match s {
+                        ColumnVector::Float { data, nulls } => Some((&data[..], &nulls[..])),
+                        _ => None,
+                    })
+                    .collect();
+                if let Some(typed) = typed {
+                    let (data, nulls) = gather_typed(&typed, picks, n);
+                    return ColumnVector::Float { data, nulls };
+                }
+            }
+            _ => {}
+        }
+        let mut out = sources[c0].empty_like();
+        for (c, r) in picks {
+            out.push_cell(sources[c].cell(r));
+        }
+        out
+    }
+
     fn demote_to_mixed(&mut self) {
         if matches!(self, ColumnVector::Mixed(_)) {
             return;
@@ -396,6 +452,21 @@ impl ColumnVector {
         }
         s
     }
+}
+
+fn gather_typed<T: Copy>(
+    sources: &[(&[T], &[bool])],
+    picks: impl Iterator<Item = (usize, usize)>,
+    n: usize,
+) -> (Vec<T>, Vec<bool>) {
+    let mut data = Vec::with_capacity(n);
+    let mut nulls = Vec::with_capacity(n);
+    for (c, r) in picks {
+        let (d, nl) = sources[c];
+        data.push(d[r]);
+        nulls.push(nl[r]);
+    }
+    (data, nulls)
 }
 
 /// Per-chunk zone map: min / max (by the total value order) and null count.
@@ -634,6 +705,54 @@ mod tests {
             batch.byte_size(),
             rows.iter().map(|r| r.byte_width() as u64).sum::<u64>()
         );
+    }
+
+    /// The typed route and the `push_cell` route must build the same
+    /// cells for every mix of source representations.
+    #[test]
+    fn gather_matches_push_cell() {
+        let mut ints = ColumnVector::new_for(Some(DataType::Int));
+        let mut ints2 = ColumnVector::new_for(Some(DataType::Int));
+        let mut floats = ColumnVector::new_for(Some(DataType::Float));
+        let mut strs = ColumnVector::new_for(Some(DataType::Str));
+        for i in 0..6i64 {
+            let null = i % 3 == 1;
+            let pick = |v: Value| if null { Value::Null } else { v };
+            ints.push(pick(Value::Int(i)));
+            ints2.push(pick(Value::Int(-i)));
+            floats.push(pick(Value::Float(i as f64 + 0.5)));
+            strs.push(pick(Value::Str(format!("s{i}"))));
+        }
+        let mixed = ColumnBatch::from_rows(1, vec![Row::new(vec![Value::Int(9)])]);
+        let mixed = &*mixed.columns()[0];
+        let picks = [(1, 4), (0, 0), (0, 1), (1, 1), (0, 5)];
+        let cases: [Vec<&ColumnVector>; 5] = [
+            vec![&ints, &ints2],
+            vec![&floats, &floats],
+            vec![&strs, &strs],
+            vec![&ints, &floats],
+            vec![&ints, mixed],
+        ];
+        for sources in cases {
+            let picks: Vec<(usize, usize)> = picks
+                .iter()
+                .map(|&(c, r)| (c, r.min(sources[c].len() - 1)))
+                .collect();
+            let got = ColumnVector::gather(&sources, picks.iter().copied());
+            let mut want = sources[picks[0].0].empty_like();
+            for &(c, r) in &picks {
+                want.push_cell(sources[c].cell(r));
+            }
+            assert_eq!(got.len(), want.len());
+            for i in 0..got.len() {
+                assert_eq!(got.value(i), want.value(i), "cell {i}");
+            }
+            assert_eq!(
+                std::mem::discriminant(&got),
+                std::mem::discriminant(&want),
+                "representation"
+            );
+        }
     }
 
     #[test]

@@ -206,23 +206,21 @@ impl Ord for Value {
 }
 
 impl Hash for Value {
+    /// Must agree with `Eq` (the total order): `Int(i) == Float(f)` when
+    /// `i as f64` and `f` are the same float, so every number hashes by
+    /// its `f64` image. Unequal ints that round to one float (beyond
+    /// 2^53) merely collide. `CellRef`-keyed hash tables in the executor
+    /// mirror this rule.
     fn hash<H: Hasher>(&self, state: &mut H) {
         match self {
             Value::Null => 0u8.hash(state),
             Value::Int(i) => {
                 1u8.hash(state);
-                i.hash(state);
+                (*i as f64).to_bits().hash(state);
             }
             Value::Float(f) => {
-                // Hash must be consistent with the total order, where
-                // Int(i) == Float(i as f64). Hash integral floats as ints.
-                if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 {
-                    1u8.hash(state);
-                    (*f as i64).hash(state);
-                } else {
-                    2u8.hash(state);
-                    f.to_bits().hash(state);
-                }
+                1u8.hash(state);
+                f.to_bits().hash(state);
             }
             Value::Str(s) => {
                 3u8.hash(state);
@@ -309,6 +307,11 @@ mod tests {
     fn hash_consistent_with_eq_across_types() {
         let a = Value::Int(42);
         let b = Value::Float(42.0);
+        assert_eq!(a, b);
+        assert_eq!(hash_of(&a), hash_of(&b));
+        // Past 2^53 an int equals the float it rounds to.
+        let a = Value::Int((1 << 53) + 1);
+        let b = Value::Float((1u64 << 53) as f64);
         assert_eq!(a, b);
         assert_eq!(hash_of(&a), hash_of(&b));
     }

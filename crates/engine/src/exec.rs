@@ -12,9 +12,18 @@
 //! server's speed and multiplies by its load slowdown to produce the
 //! virtual response time the meta-wrapper observes. The accounting is the
 //! virtual-time contract: every `cpu_units` add below replicates the
-//! row-at-a-time reference in [`crate::rowexec`] add-for-add (f64 addition
-//! is order-sensitive), and all adds use operator-level totals, so chunk
-//! pruning changes wall-clock time but never virtual time.
+//! row-at-a-time reference in [`crate::rowexec`] add-for-add, in the same
+//! order and at the same granularity (f64 addition is order-sensitive).
+//! Most adds are operator-level totals computed from row counts, so chunk
+//! pruning changes wall-clock time but never virtual time. The hash join
+//! and nested-loop join add `output_row` once per emitted match and the
+//! join and index-scan residuals add once per evaluated candidate, exactly
+//! where the row engine does; a total written as `n × x` instead would
+//! round differently.
+//!
+//! Join, group-by and DISTINCT share one hash layout, `KeyChains`: key
+//! cells fold into a `u64` that picks a chain of entries, and candidates
+//! are confirmed cell by cell, so no row allocates.
 
 use crate::cost::CostModel;
 use crate::expr::{AggAccumulator, CompiledExpr};
@@ -23,42 +32,215 @@ use crate::vexpr::{eval_cells, eval_predicate_cells, PairView, RowView};
 use qcc_common::{CellRef, ColumnBatch, ColumnSummary, ColumnVector, QccError, Result, Row, Value};
 use qcc_sql::BinaryOp;
 use qcc_storage::Catalog;
+use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::Bound;
+use std::ops::{Bound, Deref};
 use std::sync::Arc;
 
-/// FNV-1a hasher for the executor's hot maps (join build tables,
-/// aggregation groups, distinct sets). Engine-internal keys only, so
-/// DoS resistance is irrelevant; map iteration order never reaches the
-/// output (first-seen order vectors, probe order), so swapping the
-/// hasher cannot change results.
-struct FnvHasher(u64);
+/// Pass-through hasher for [`KeyChains`]' map, whose `u64` keys are
+/// already mixed by [`finish_key_hash`].
+#[derive(Default)]
+struct PreHashed(u64);
 
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for FnvHasher {
+impl Hasher for PreHashed {
     fn finish(&self) -> u64 {
         self.0
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
         for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
+            self.0 = fold(self.0, u64::from(b));
         }
-        self.0 = h;
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = x;
     }
 }
 
-type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
-type FnvSet<K> = HashSet<K, BuildHasherDefault<FnvHasher>>;
+const KEY_SEED: u64 = 0x243f_6a88_85a3_08d3;
+const NULL_WORD: u64 = 0x7ff4_a11c_e5ee_d00d;
+
+#[inline]
+fn fold(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// Fold one key cell into a key hash. Mirrors `Value`'s `Hash`: cells
+/// that are equal under `total_cmp` must hash equally, so every number
+/// folds in its `f64` image (`Int(2^53 + 1)` equals `Float(2^53)`).
+#[inline]
+fn fold_cell(h: u64, c: CellRef<'_>) -> u64 {
+    match c {
+        CellRef::Null => fold(h, NULL_WORD),
+        CellRef::Int(i) => fold(h, (i as f64).to_bits()),
+        CellRef::Float(f) => fold(h, f.to_bits()),
+        CellRef::Str(s) => {
+            let mut h = fold(h, !(s.len() as u64));
+            for part in s.as_bytes().chunks(8) {
+                let mut word = [0u8; 8];
+                word[..part.len()].copy_from_slice(part);
+                h = fold(h, u64::from_le_bytes(word));
+            }
+            h
+        }
+    }
+}
+
+/// Final avalanche (murmur3's `fmix64`), so the low bits the map buckets
+/// by and the high bits it tags with both depend on every key bit.
+#[inline]
+fn finish_key_hash(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^= h >> 33;
+    #[cfg(test)]
+    let h = h & tests::KEY_HASH_MASK.with(std::cell::Cell::get);
+    h
+}
+
+/// Expression `e` as a column of `ch`, indexed by physical row: the
+/// chunk's own vector when `e` is a bare column reference, else `e`
+/// evaluated at every selected row (NULL elsewhere).
+fn expr_column<'a>(e: &'a CompiledExpr, ch: &'a Chunk) -> Cow<'a, ColumnVector> {
+    match e {
+        CompiledExpr::Column(i) => Cow::Borrowed(&ch.cols[*i]),
+        _ => {
+            let mut vals = vec![Value::Null; ch.len];
+            for row in ch.selected() {
+                let view = RowView {
+                    cols: &ch.cols,
+                    row,
+                };
+                vals[row] = eval_cells(e, &view).to_value();
+            }
+            Cow::Owned(ColumnVector::Mixed(vals))
+        }
+    }
+}
+
+/// The key expressions of `keys` as columns of `ch`.
+fn key_columns<'a>(keys: &'a [CompiledExpr], ch: &'a Chunk) -> Vec<Cow<'a, ColumnVector>> {
+    keys.iter().map(|k| expr_column(k, ch)).collect()
+}
+
+/// True iff row `ar` of key columns `a` equals row `br` of key columns `b`
+/// cell by cell under `total_cmp` — the equality `Value`'s `Eq` uses, so
+/// NULL equals NULL here (the join drops NULL keys before comparing).
+fn rows_eq<A, B>(a: &[A], ar: usize, b: &[B], br: usize) -> bool
+where
+    A: Deref<Target = ColumnVector>,
+    B: Deref<Target = ColumnVector>,
+{
+    a.iter()
+        .zip(b)
+        .all(|(x, y)| x.cell(ar).total_cmp(y.cell(br)) == Ordering::Equal)
+}
+
+/// Key hashes of one chunk's selected rows, in selection order, folded a
+/// key column at a time. Scratch, reused across chunks.
+#[derive(Default)]
+struct KeyHashes {
+    hashes: Vec<u64>,
+    /// Whether the row's key has a NULL cell.
+    has_null: Vec<bool>,
+}
+
+impl KeyHashes {
+    fn compute<K: Deref<Target = ColumnVector>>(&mut self, keys: &[K], ch: &Chunk) {
+        let n = ch.n_selected();
+        self.hashes.clear();
+        self.hashes.resize(n, KEY_SEED);
+        self.has_null.clear();
+        self.has_null.resize(n, false);
+        for col in keys {
+            let slots = self.hashes.iter_mut().zip(self.has_null.iter_mut());
+            for ((h, null), r) in slots.zip(ch.selected()) {
+                let c = col.cell(r);
+                *null |= c.is_null();
+                *h = fold_cell(*h, c);
+            }
+        }
+        for h in &mut self.hashes {
+            *h = finish_key_hash(*h);
+        }
+    }
+}
+
+/// Sentinel ending a chain.
+const CHAIN_END: u32 = u32::MAX;
+
+/// The hash layout shared by the hash join, the group-by and DISTINCT.
+///
+/// Entries are numbered `0, 1, …` in insertion order; the caller keeps
+/// each entry's payload (a build row, a group) in a parallel vector. A
+/// key hash maps to the head and tail of a chain of entries linked
+/// through `next`, in insertion order. Keys whose hashes coincide share a
+/// chain, so every candidate is confirmed cell by cell. Nothing is
+/// allocated per row. The hash is unkeyed: keys are table data inside
+/// the simulation, so resistance to crafted collisions is not a goal.
+#[derive(Default)]
+struct KeyChains {
+    ends: HashMap<u64, (u32, u32), BuildHasherDefault<PreHashed>>,
+    next: Vec<u32>,
+}
+
+impl KeyChains {
+    fn with_capacity(n: usize) -> Self {
+        KeyChains {
+            ends: HashMap::with_capacity_and_hasher(n, BuildHasherDefault::default()),
+            next: Vec::with_capacity(n),
+        }
+    }
+
+    /// Append the next entry to the tail of `hash`'s chain.
+    fn push(&mut self, hash: u64) {
+        let e = self.next.len() as u32;
+        self.next.push(CHAIN_END);
+        match self.ends.entry(hash) {
+            Entry::Occupied(mut o) => {
+                let (_, tail) = o.get_mut();
+                self.next[*tail as usize] = e;
+                *tail = e;
+            }
+            Entry::Vacant(v) => {
+                v.insert((e, e));
+            }
+        }
+    }
+
+    /// The entries of `hash`'s chain, oldest first.
+    fn chain(&self, hash: u64) -> Chain<'_> {
+        Chain {
+            next: &self.next,
+            at: self.ends.get(&hash).map_or(CHAIN_END, |&(head, _)| head),
+        }
+    }
+}
+
+struct Chain<'a> {
+    next: &'a [u32],
+    at: u32,
+}
+
+impl Iterator for Chain<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.at == CHAIN_END {
+            return None;
+        }
+        let e = self.at as usize;
+        self.at = self.next[e];
+        Some(e)
+    }
+}
 
 /// Actual work performed by an execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -159,11 +341,8 @@ pub fn execute_batches(
                     .cols
                     .iter()
                     .map(|c| {
-                        let mut b = c.empty_like();
-                        for &i in &ids {
-                            b.push_cell(c.cell(i as usize));
-                        }
-                        Arc::new(b)
+                        let picks = ids.iter().map(|&i| (0, i as usize));
+                        Arc::new(ColumnVector::gather(&[&**c], picks))
                     })
                     .collect();
                 batches.push(ColumnBatch::new(cols, n));
@@ -299,7 +478,7 @@ fn exec_node(
             work.rows_scanned += positions.len() as u64;
             work.cpu_units += positions.len() as f64 * m.index_match_row;
             let chunks = entry.table.chunks();
-            let mut picks: Vec<(usize, usize)> = Vec::with_capacity(positions.len());
+            let mut picks: Vec<(u32, u32)> = Vec::with_capacity(positions.len());
             for pos in positions {
                 let (ci, pi) = entry.table.locate(pos as usize).ok_or_else(|| {
                     QccError::Execution(format!("index position {pos} out of range"))
@@ -314,23 +493,18 @@ fn exec_node(
                         continue;
                     }
                 }
-                picks.push((ci, pi));
+                picks.push((ci as u32, pi as u32));
             }
             work.cpu_units += picks.len() as f64 * m.output_row;
-            if picks.is_empty() {
+            let Some(&(c0, _)) = picks.first() else {
                 return Ok(Vec::new());
-            }
-            let arity = chunks[picks[0].0].columns().len();
-            let mut builders: Vec<ColumnVector> = (0..arity)
-                .map(|j| chunks[picks[0].0].columns()[j].empty_like())
+            };
+            let arity = chunks[c0 as usize].columns().len();
+            let cols = (0..arity)
+                .map(|j| gather_column(chunks.iter().map(|ch| &*ch.columns()[j]), &picks))
                 .collect();
-            for &(ci, pi) in &picks {
-                for (j, b) in builders.iter_mut().enumerate() {
-                    b.push_cell(chunks[ci].columns()[j].cell(pi));
-                }
-            }
             Ok(vec![Chunk {
-                cols: builders.into_iter().map(Arc::new).collect(),
+                cols,
                 len: picks.len(),
                 sel: Sel::All,
             }])
@@ -347,65 +521,55 @@ fn exec_node(
             let probe = exec_node(right, catalog, m, work)?;
             work.cpu_units += total_selected(&build) as f64 * m.hash_build_row;
             work.cpu_units += total_selected(&probe) as f64 * m.hash_probe_row;
-            // The scratch key is reused across rows (slice lookup via
-            // `Borrow<[Value]>`); it is cloned only when a build key is
-            // first inserted, never on the probe side.
-            let mut table: FnvMap<Vec<Value>, Vec<(u32, u32)>> = FnvMap::default();
-            let mut key: Vec<Value> = Vec::with_capacity(left_keys.len());
+            // Build: chain every build row with no NULL key cell; entry `e`
+            // is build row `rows[e]`, so each chain lists its rows in
+            // build order.
+            let n_build = total_selected(&build);
+            let mut chains = KeyChains::with_capacity(n_build);
+            let mut rows: Vec<(u32, u32)> = Vec::with_capacity(n_build);
+            let mut hashed = KeyHashes::default();
+            let build_keys: Vec<_> = build.iter().map(|ch| key_columns(left_keys, ch)).collect();
             for (ci, ch) in build.iter().enumerate() {
-                for pi in ch.selected() {
-                    let view = RowView {
-                        cols: &ch.cols,
-                        row: pi,
-                    };
-                    key.clear();
-                    for k in left_keys {
-                        key.push(eval_cells(k, &view).to_value());
-                    }
-                    if key.iter().any(Value::is_null) {
+                hashed.compute(&build_keys[ci], ch);
+                for (slot, pi) in ch.selected().enumerate() {
+                    if hashed.has_null[slot] {
                         continue; // NULL keys never join.
                     }
-                    match table.get_mut(key.as_slice()) {
-                        Some(hits) => hits.push((ci as u32, pi as u32)),
-                        None => {
-                            table.insert(key.clone(), vec![(ci as u32, pi as u32)]);
-                        }
-                    }
+                    chains.push(hashed.hashes[slot]);
+                    rows.push((ci as u32, pi as u32));
                 }
             }
+            // Probe in probe order; within a key, matches come out in
+            // build order.
             let mut lpicks: Vec<(u32, u32)> = Vec::new();
             let mut rpicks: Vec<(u32, u32)> = Vec::new();
             for (ci, ch) in probe.iter().enumerate() {
-                for pi in ch.selected() {
-                    let view = RowView {
-                        cols: &ch.cols,
-                        row: pi,
-                    };
-                    key.clear();
-                    for k in right_keys {
-                        key.push(eval_cells(k, &view).to_value());
-                    }
-                    if key.iter().any(Value::is_null) {
+                let probe_keys = key_columns(right_keys, ch);
+                hashed.compute(&probe_keys, ch);
+                for (slot, pi) in ch.selected().enumerate() {
+                    if hashed.has_null[slot] {
                         continue;
                     }
-                    if let Some(matches) = table.get(key.as_slice()) {
-                        for &(bci, bpi) in matches {
-                            if let Some(p) = residual {
-                                work.cpu_units += p.node_count() as f64 * m.pred_node;
-                                let pair = PairView {
-                                    left: &build[bci as usize].cols,
-                                    lrow: bpi as usize,
-                                    right: &ch.cols,
-                                    rrow: pi,
-                                };
-                                if !eval_predicate_cells(p, &pair) {
-                                    continue;
-                                }
-                            }
-                            work.cpu_units += m.output_row;
-                            lpicks.push((bci, bpi));
-                            rpicks.push((ci as u32, pi as u32));
+                    for e in chains.chain(hashed.hashes[slot]) {
+                        let (bci, bpi) = (rows[e].0 as usize, rows[e].1 as usize);
+                        if !rows_eq(&build_keys[bci], bpi, &probe_keys, pi) {
+                            continue;
                         }
+                        if let Some(p) = residual {
+                            work.cpu_units += p.node_count() as f64 * m.pred_node;
+                            let pair = PairView {
+                                left: &build[bci].cols,
+                                lrow: bpi,
+                                right: &ch.cols,
+                                rrow: pi,
+                            };
+                            if !eval_predicate_cells(p, &pair) {
+                                continue;
+                            }
+                        }
+                        work.cpu_units += m.output_row;
+                        lpicks.push(rows[e]);
+                        rpicks.push((ci as u32, pi as u32));
                     }
                 }
             }
@@ -541,27 +705,20 @@ fn exec_node(
             if picks.is_empty() {
                 return Ok(Vec::new());
             }
-            // Evaluate each sort key once per row into key columns, then
-            // stably sort the row indices. The comparator is identical to
-            // the row engine's, and both sorts are stable, so the
-            // permutation matches row-at-a-time execution exactly.
-            let mut keycols: Vec<ColumnVector> = keys
+            // Each sort key as a column per chunk (no copy for a bare
+            // column reference), then a stable sort of the picks. The
+            // comparator is identical to the row engine's, and both sorts
+            // are stable, so the permutation matches row-at-a-time
+            // execution exactly.
+            let keycols: Vec<Vec<Cow<'_, ColumnVector>>> = chunks
                 .iter()
-                .map(|_| ColumnVector::Mixed(Vec::new()))
+                .map(|ch| keys.iter().map(|(k, _)| expr_column(k, ch)).collect())
                 .collect();
-            for &(ci, pi) in &picks {
-                let view = RowView {
-                    cols: &chunks[ci as usize].cols,
-                    row: pi as usize,
-                };
-                for ((k, _), col) in keys.iter().zip(keycols.iter_mut()) {
-                    col.push(eval_cells(k, &view).to_value());
-                }
-            }
-            let mut order: Vec<u32> = (0..picks.len() as u32).collect();
-            order.sort_by(|&a, &b| {
-                for ((_, desc), col) in keys.iter().zip(&keycols) {
-                    let ord = col.cell(a as usize).total_cmp(col.cell(b as usize));
+            let mut permuted = picks;
+            permuted.sort_by(|&(ca, ra), &(cb, rb)| {
+                let (a, b) = (&keycols[ca as usize], &keycols[cb as usize]);
+                for (j, (_, desc)) in keys.iter().enumerate() {
+                    let ord = a[j].cell(ra as usize).total_cmp(b[j].cell(rb as usize));
                     let ord = if *desc { ord.reverse() } else { ord };
                     if ord != Ordering::Equal {
                         return ord;
@@ -569,7 +726,6 @@ fn exec_node(
                 }
                 Ordering::Equal
             });
-            let permuted: Vec<(u32, u32)> = order.iter().map(|&i| picks[i as usize]).collect();
             let cols = gather_columns(&chunks, &permuted);
             Ok(vec![Chunk {
                 cols,
@@ -605,18 +761,31 @@ fn exec_node(
             let chunks = exec_node(input, catalog, m, work)?;
             let total = total_selected(&chunks);
             work.cpu_units += total as f64 * m.hash_build_row;
-            let mut seen: FnvSet<Vec<Value>> = FnvSet::default();
+            // Order-preserving: first occurrence wins. Entry `e` is the
+            // first occurrence `firsts[e]` of a distinct row.
+            let mut chains = KeyChains::default();
+            let mut firsts: Vec<(usize, usize)> = Vec::new();
+            let mut hashed = KeyHashes::default();
+            let mut kept: Vec<Vec<u32>> = Vec::with_capacity(chunks.len());
+            for (ci, ch) in chunks.iter().enumerate() {
+                hashed.compute(&ch.cols, ch);
+                let mut ids: Vec<u32> = Vec::new();
+                for (slot, r) in ch.selected().enumerate() {
+                    let h = hashed.hashes[slot];
+                    let seen = chains.chain(h).any(|e| {
+                        let (fc, fr) = firsts[e];
+                        rows_eq(&chunks[fc].cols, fr, &ch.cols, r)
+                    });
+                    if !seen {
+                        chains.push(h);
+                        firsts.push((ci, r));
+                        ids.push(r as u32);
+                    }
+                }
+                kept.push(ids);
+            }
             let mut out = Vec::with_capacity(chunks.len());
-            for ch in chunks {
-                // Order-preserving: first occurrence wins.
-                let ids: Vec<u32> = ch
-                    .selected()
-                    .filter(|&r| {
-                        let key: Vec<Value> = ch.cols.iter().map(|c| c.value(r)).collect();
-                        seen.insert(key)
-                    })
-                    .map(|r| r as u32)
-                    .collect();
+            for (ch, ids) in chunks.into_iter().zip(kept) {
                 if !ids.is_empty() {
                     out.push(Chunk {
                         cols: ch.cols,
@@ -630,6 +799,17 @@ fn exec_node(
     }
 }
 
+/// Gather picked `(chunk, row)` cells of one column into a fresh vector,
+/// preserving pick order. `sources` yields that column of every chunk.
+fn gather_column<'a>(
+    sources: impl Iterator<Item = &'a ColumnVector>,
+    picks: &[(u32, u32)],
+) -> Arc<ColumnVector> {
+    let sources: Vec<&ColumnVector> = sources.collect();
+    let picks = picks.iter().map(|&(c, r)| (c as usize, r as usize));
+    Arc::new(ColumnVector::gather(&sources, picks))
+}
+
 /// Gather picked rows of `chunks` into fresh columns, one per source
 /// column, preserving pick order.
 fn gather_columns(chunks: &[Chunk], picks: &[(u32, u32)]) -> Vec<Arc<ColumnVector>> {
@@ -637,15 +817,9 @@ fn gather_columns(chunks: &[Chunk], picks: &[(u32, u32)]) -> Vec<Arc<ColumnVecto
         return Vec::new();
     };
     let arity = chunks[c0 as usize].cols.len();
-    let mut out = Vec::with_capacity(arity);
-    for j in 0..arity {
-        let mut b = chunks[c0 as usize].cols[j].empty_like();
-        for &(ci, pi) in picks {
-            b.push_cell(chunks[ci as usize].cols[j].cell(pi as usize));
-        }
-        out.push(Arc::new(b));
-    }
-    out
+    (0..arity)
+        .map(|j| gather_column(chunks.iter().map(|ch| &*ch.cols[j]), picks))
+        .collect()
 }
 
 /// Materialize a join result: left-side columns then right-side columns.
@@ -836,9 +1010,6 @@ fn exec_aggregate(
     m: &CostModel,
     work: &mut Work,
 ) -> Result<Vec<Chunk>> {
-    // Group rows preserving first-seen key order for determinism.
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut groups: FnvMap<Vec<Value>, usize> = FnvMap::default();
     let make_accs = || -> Vec<AggAccumulator> {
         aggs.iter()
             .map(|a| AggAccumulator::new(a.func, a.distinct))
@@ -853,12 +1024,9 @@ fn exec_aggregate(
         // Global aggregation always yields exactly one row.
         let mut accs = make_accs();
         for ch in chunks {
+            let args = arg_columns(aggs, ch);
             for r in ch.selected() {
-                let view = RowView {
-                    cols: &ch.cols,
-                    row: r,
-                };
-                feed(&mut accs, aggs, &view);
+                feed(&mut accs, &args, r);
             }
         }
         work.cpu_units += m.output_row;
@@ -872,46 +1040,50 @@ fn exec_aggregate(
         }]);
     }
 
-    // Accumulators live in a dense per-group vector; the map only holds
-    // key → group index. The scratch key is reused across rows (slice
-    // lookup via `Borrow<[Value]>`), so steady-state rows hash without
-    // allocating — keys are cloned once per distinct group, not per row.
+    // Groups are numbered in first-seen order: group `g` is chain entry
+    // `g`, first seen at row `firsts[g]` (chunk, row), which both the
+    // equality check and the output key values read; its accumulators
+    // are `group_accs[g]`.
+    let key_cols: Vec<_> = chunks.iter().map(|ch| key_columns(group_by, ch)).collect();
+    let mut chains = KeyChains::default();
+    let mut firsts: Vec<(usize, usize)> = Vec::new();
     let mut group_accs: Vec<Vec<AggAccumulator>> = Vec::new();
-    let mut key: Vec<Value> = Vec::with_capacity(group_by.len());
-    for ch in chunks {
-        for r in ch.selected() {
-            let view = RowView {
-                cols: &ch.cols,
-                row: r,
-            };
-            key.clear();
-            for k in group_by {
-                key.push(eval_cells(k, &view).to_value());
-            }
-            let gi = match groups.get(key.as_slice()) {
-                Some(&gi) => gi,
+    let mut hashed = KeyHashes::default();
+    for (ci, ch) in chunks.iter().enumerate() {
+        let args = arg_columns(aggs, ch);
+        hashed.compute(&key_cols[ci], ch);
+        for (slot, r) in ch.selected().enumerate() {
+            let h = hashed.hashes[slot];
+            let found = chains.chain(h).find(|&g| {
+                let (fc, fr) = firsts[g];
+                rows_eq(&key_cols[fc], fr, &key_cols[ci], r)
+            });
+            let gi = match found {
+                Some(g) => g,
                 None => {
-                    let gi = group_accs.len();
-                    groups.insert(key.clone(), gi);
-                    order.push(key.clone());
+                    chains.push(h);
+                    firsts.push((ci, r));
                     group_accs.push(make_accs());
-                    gi
+                    group_accs.len() - 1
                 }
             };
-            feed(&mut group_accs[gi], aggs, &view);
+            feed(&mut group_accs[gi], &args, r);
         }
     }
-    work.cpu_units += order.len() as f64 * m.output_row;
-    let n = order.len();
+    let n = group_accs.len();
+    work.cpu_units += n as f64 * m.output_row;
     if n == 0 {
         return Ok(Vec::new());
     }
-    for (key, accs) in order.into_iter().zip(group_accs) {
-        for (j, v) in key.into_iter().enumerate() {
-            builders[j].push(v);
+    for &(c, r) in &firsts {
+        for (b, col) in builders.iter_mut().zip(&key_cols[c]) {
+            b.push(col.value(r));
         }
+    }
+    let width = group_by.len();
+    for accs in &group_accs {
         for (j, acc) in accs.iter().enumerate() {
-            builders[group_by.len() + j].push(acc.finish());
+            builders[width + j].push(acc.finish());
         }
     }
     Ok(vec![Chunk {
@@ -921,12 +1093,16 @@ fn exec_aggregate(
     }])
 }
 
-fn feed<C: crate::vexpr::Cells>(accs: &mut [AggAccumulator], aggs: &[AggSpec], view: &C) {
-    for (acc, spec) in accs.iter_mut().zip(aggs) {
-        match &spec.arg {
-            None => acc.push_cell(None),
-            Some(e) => acc.push_cell(Some(eval_cells(e, view))),
-        }
+/// Each aggregate's argument as a column of `ch` (`None` for `COUNT(*)`).
+fn arg_columns<'a>(aggs: &'a [AggSpec], ch: &'a Chunk) -> Vec<Option<Cow<'a, ColumnVector>>> {
+    aggs.iter()
+        .map(|a| a.arg.as_ref().map(|e| expr_column(e, ch)))
+        .collect()
+}
+
+fn feed(accs: &mut [AggAccumulator], args: &[Option<Cow<'_, ColumnVector>>], row: usize) {
+    for (acc, arg) in accs.iter_mut().zip(args) {
+        acc.push_cell(arg.as_ref().map(|col| col.cell(row)));
     }
 }
 
@@ -936,6 +1112,13 @@ mod tests {
     use crate::Engine;
     use qcc_common::{Column, DataType, Schema};
     use qcc_storage::Table;
+
+    thread_local! {
+        /// Bits of every key hash the tables keep (this thread only). A
+        /// narrow mask puts unequal keys on one chain.
+        pub(super) static KEY_HASH_MASK: std::cell::Cell<u64> =
+            const { std::cell::Cell::new(u64::MAX) };
+    }
 
     fn engine() -> Engine {
         let mut c = Catalog::new();
@@ -1190,6 +1373,122 @@ mod tests {
                         .unwrap();
                 assert_eq!(brows, rrows, "rows for {sql}");
                 assert_eq!(bwork, rwork, "work for {sql}");
+            }
+        }
+    }
+
+    /// Cells equal under `total_cmp` hash equally, across Int and Float
+    /// and past 2^53, as `Value`'s `Hash` does.
+    #[test]
+    fn key_hash_agrees_with_total_cmp() {
+        let big = 1i64 << 53;
+        let cells = [
+            CellRef::Null,
+            CellRef::Int(0),
+            CellRef::Float(0.0),
+            CellRef::Float(-0.0),
+            CellRef::Int(3),
+            CellRef::Float(3.0),
+            CellRef::Float(3.5),
+            CellRef::Int(big + 1),
+            CellRef::Float(big as f64),
+            CellRef::Float(f64::NAN),
+            CellRef::Str(""),
+            CellRef::Str("abcdefghij"),
+        ];
+        for &a in &cells {
+            for &b in &cells {
+                if a.total_cmp(b) == Ordering::Equal {
+                    let hash = |c| finish_key_hash(fold_cell(KEY_SEED, c));
+                    assert_eq!(hash(a), hash(b), "{a:?} vs {b:?}");
+                }
+            }
+        }
+    }
+
+    /// Tables that cross `BATCH_ROWS`, with NULL, FLOAT-holding-integers
+    /// and string keys.
+    fn keyed_engine() -> Engine {
+        let mut c = Catalog::new();
+        let mut ta = Table::new(
+            "ta",
+            Schema::new(vec![
+                Column::new("k", DataType::Int),
+                Column::new("f", DataType::Float),
+                Column::new("s", DataType::Str),
+                Column::new("g", DataType::Int),
+            ]),
+        );
+        for i in 0..2100i64 {
+            let null = |v: Value| if i % 11 == 3 { Value::Null } else { v };
+            ta.insert(Row::new(vec![
+                null(Value::Int(i % 97)),
+                null(Value::Float((i % 89) as f64)),
+                null(Value::from(["ab", "abcdefghi", "x", ""][(i % 4) as usize])),
+                Value::Int(i % 5),
+            ]))
+            .unwrap();
+        }
+        c.register(ta);
+        let mut tb = Table::new(
+            "tb",
+            Schema::new(vec![
+                Column::new("k", DataType::Int),
+                Column::new("s", DataType::Str),
+                Column::new("v", DataType::Int),
+            ]),
+        );
+        for i in 0..1300i64 {
+            let k = if i % 13 == 5 {
+                Value::Null
+            } else {
+                Value::Int(i % 101)
+            };
+            tb.insert(Row::new(vec![
+                k,
+                Value::from(["x", "ab", "abcdefghi"][(i % 3) as usize]),
+                Value::Int(i % 7),
+            ]))
+            .unwrap();
+        }
+        c.register(tb);
+        Engine::new(c)
+    }
+
+    /// With the key hash cut to three bits every chain holds many
+    /// unequal keys, so every probe and group lookup depends on the
+    /// cell-by-cell confirmation. Rows and `Work` must still match the
+    /// row engine bit for bit, and must equal the full-hash run.
+    #[test]
+    fn truncated_key_hash_matches_row_reference() {
+        let e = keyed_engine();
+        let queries = [
+            "SELECT ta.g, tb.v FROM ta JOIN tb ON ta.k = tb.k",
+            "SELECT ta.k, tb.v FROM ta JOIN tb ON ta.f = tb.k",
+            "SELECT ta.g, tb.v FROM ta JOIN tb ON ta.s = tb.s WHERE ta.k < 3",
+            "SELECT ta.g, tb.v FROM ta JOIN tb ON ta.k = tb.k AND ta.s = tb.s",
+            "SELECT ta.g, tb.v FROM ta JOIN tb ON ta.k = tb.k AND ta.g < tb.v",
+            "SELECT ta.s, ta.g, COUNT(*), SUM(ta.f), MIN(ta.k) FROM ta GROUP BY ta.s, ta.g",
+            "SELECT ta.k, COUNT(*), MAX(tb.v) FROM ta JOIN tb ON ta.s = tb.s GROUP BY ta.k",
+            "SELECT ta.g + 1, COUNT(*), SUM(ta.k * 2) FROM ta WHERE ta.k > 40 GROUP BY ta.g + 1",
+            "SELECT DISTINCT ta.s, ta.g FROM ta",
+            "SELECT DISTINCT ta.f FROM ta",
+        ];
+        for sql in queries {
+            for planned in e.explain(sql).unwrap() {
+                let (full_rows, full_work) = e.execute_plan(&planned.plan).unwrap();
+                KEY_HASH_MASK.with(|m| m.set(0b111));
+                let run = e.execute_plan(&planned.plan);
+                KEY_HASH_MASK.with(|m| m.set(u64::MAX));
+                let (brows, bwork) = run.unwrap();
+                let (rrows, rwork) =
+                    crate::rowexec::execute_rows(&planned.plan, e.catalog(), e.cost_model())
+                        .unwrap();
+                assert!(!rrows.is_empty(), "{sql} should produce rows");
+                assert_eq!(brows, rrows, "rows for {sql}");
+                assert_eq!(bwork, rwork, "work for {sql}");
+                assert_eq!(brows, full_rows, "truncation changed rows for {sql}");
+                assert_eq!(bwork, full_work, "truncation changed work for {sql}");
             }
         }
     }

@@ -368,14 +368,12 @@ impl AggAccumulator {
                 _ => self.sum_is_int = false,
             }
         }
-        match &self.min {
-            None => self.min = Some(v.clone()),
-            Some(m) if v < m => self.min = Some(v.clone()),
-            _ => {}
-        }
-        match &self.max {
-            None => self.max = Some(v.clone()),
-            Some(m) if v > m => self.max = Some(v.clone()),
+        // Extremes are read by `finish` for MIN/MAX only.
+        match (self.func, &self.min, &self.max) {
+            (AggFunc::Min, None, _) => self.min = Some(v.clone()),
+            (AggFunc::Min, Some(m), _) if v < m => self.min = Some(v.clone()),
+            (AggFunc::Max, _, None) => self.max = Some(v.clone()),
+            (AggFunc::Max, _, Some(m)) if v > m => self.max = Some(v.clone()),
             _ => {}
         }
     }
@@ -416,16 +414,13 @@ impl AggAccumulator {
                 _ => self.sum_is_int = false,
             }
         }
-        match &self.min {
-            None => self.min = Some(c.to_value()),
-            Some(m) if c.total_cmp_value(m) == std::cmp::Ordering::Less => {
+        match (self.func, &self.min, &self.max) {
+            (AggFunc::Min, None, _) => self.min = Some(c.to_value()),
+            (AggFunc::Min, Some(m), _) if c.total_cmp_value(m) == std::cmp::Ordering::Less => {
                 self.min = Some(c.to_value())
             }
-            _ => {}
-        }
-        match &self.max {
-            None => self.max = Some(c.to_value()),
-            Some(m) if c.total_cmp_value(m) == std::cmp::Ordering::Greater => {
+            (AggFunc::Max, _, None) => self.max = Some(c.to_value()),
+            (AggFunc::Max, _, Some(m)) if c.total_cmp_value(m) == std::cmp::Ordering::Greater => {
                 self.max = Some(c.to_value())
             }
             _ => {}

@@ -146,3 +146,31 @@ fn self_join_with_aliases() {
     // a values {1,2,3,5} vs b values {10,20,40,50}: no matches.
     assert!(rows.is_empty());
 }
+
+/// `Int(2^53 + 1)` equals `Float(2^53)` under the total order (the int
+/// rounds to that float), so the join key must hash by its `f64` image
+/// for the hash join to find the pair the reference evaluator finds.
+#[test]
+fn int_joins_float_it_rounds_to() {
+    let mut ta = Table::new("ta", Schema::new(vec![Column::new("k", DataType::Int)]));
+    ta.insert(Row::new(vec![Value::Int((1 << 53) + 1)]))
+        .unwrap();
+    let mut tb = Table::new("tb", Schema::new(vec![Column::new("f", DataType::Float)]));
+    tb.insert(Row::new(vec![Value::Float((1u64 << 53) as f64)]))
+        .unwrap();
+    let mut c = Catalog::new();
+    c.register(ta);
+    c.register(tb);
+    let e = Engine::new(c);
+    let sql = "SELECT ta.k, tb.f FROM ta JOIN tb ON ta.k = tb.f";
+    let stmt = qcc_sql::parse_select(sql).unwrap();
+    let expected = qcc_engine::naive::evaluate(&stmt, e.catalog()).unwrap();
+    assert_eq!(expected.len(), 1);
+    for planned in e.explain(sql).unwrap() {
+        let (rows, _) = e.execute_plan(&planned.plan).unwrap();
+        assert_eq!(rows, expected, "plan {}", planned.plan);
+        let (rrows, _) =
+            qcc_engine::rowexec::execute_rows(&planned.plan, e.catalog(), e.cost_model()).unwrap();
+        assert_eq!(rrows, expected, "row engine, plan {}", planned.plan);
+    }
+}

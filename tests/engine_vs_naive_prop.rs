@@ -10,8 +10,41 @@ use load_aware_federation::engine::{execute_batches, naive, rowexec, Engine};
 use load_aware_federation::storage::{Catalog, ColumnSpec, Table, TableSpec};
 use qcc_sql::parse_select;
 
-/// Random small tables `ta(a, b, s)` and `tb(a, c)`.
-fn random_catalog(rng: &mut Pcg32) -> Catalog {
+/// Table sizes and key range for [`random_catalog`].
+#[derive(Clone, Copy)]
+struct Shape {
+    /// Row count range per table, `[lo, hi)`.
+    rows: (u64, u64),
+    /// Join and group keys are drawn from `[0, keys)`.
+    keys: i64,
+}
+
+/// Small tables: joins fan out, every key repeats.
+const SMALL: Shape = Shape {
+    rows: (0, 40),
+    keys: 20,
+};
+
+/// Tables larger than `BATCH_ROWS`, so scans, join build and probe span
+/// several storage chunks; a wide key range keeps join outputs small.
+const LARGE: Shape = Shape {
+    rows: (1025, 2600),
+    keys: 1500,
+};
+
+/// `v`, or NULL one time in `one_in`.
+fn nullable(rng: &mut Pcg32, one_in: u64, v: Value) -> Value {
+    if rng.range_u64(0, one_in) == 0 {
+        Value::Null
+    } else {
+        v
+    }
+}
+
+/// Random tables `ta(a, b, s)` and `tb(a, c, f, s)`. Join and group keys
+/// carry NULLs; `tb.f` is a FLOAT column holding integral values, so it
+/// joins `ta.a` across types; `ta.s` and `tb.s` are string keys.
+fn random_catalog(rng: &mut Pcg32, shape: Shape) -> Catalog {
     let mut ta = Table::new(
         "ta",
         Schema::new(vec![
@@ -20,12 +53,14 @@ fn random_catalog(rng: &mut Pcg32) -> Catalog {
             Column::new("s", DataType::Str),
         ]),
     );
-    let n_a = rng.range_u64(0, 40);
+    let n_a = rng.range_u64(shape.rows.0, shape.rows.1);
     for _ in 0..n_a {
+        let a = Value::Int(rng.range_i64(0, shape.keys));
+        let s = Value::Str((*rng.choose(b"abc") as char).to_string());
         ta.insert(Row::new(vec![
-            Value::Int(rng.range_i64(0, 20)),
+            nullable(rng, 8, a),
             Value::Int(rng.range_i64(-5, 5)),
-            Value::Str((*rng.choose(b"abc") as char).to_string()),
+            nullable(rng, 10, s),
         ]))
         .unwrap();
     }
@@ -34,13 +69,19 @@ fn random_catalog(rng: &mut Pcg32) -> Catalog {
         Schema::new(vec![
             Column::new("a", DataType::Int),
             Column::new("c", DataType::Int),
+            Column::new("f", DataType::Float),
+            Column::new("s", DataType::Str),
         ]),
     );
-    let n_b = rng.range_u64(0, 40);
+    let n_b = rng.range_u64(shape.rows.0, shape.rows.1);
     for _ in 0..n_b {
+        let a = Value::Int(rng.range_i64(0, shape.keys));
+        let f = Value::Float(rng.range_i64(0, shape.keys) as f64);
         tb.insert(Row::new(vec![
-            Value::Int(rng.range_i64(0, 20)),
+            nullable(rng, 8, a),
             Value::Int(rng.range_i64(-5, 5)),
+            nullable(rng, 8, f),
+            Value::Str((*rng.choose(b"abcd") as char).to_string()),
         ]))
         .unwrap();
     }
@@ -71,11 +112,12 @@ fn random_predicate(rng: &mut Pcg32) -> String {
     }
 }
 
-/// Random queries over the two tables, spanning scans, joins, predicates,
-/// grouping, ordering and limits.
+/// Random queries over the two tables, spanning scans, joins (single,
+/// cross-type, string and two-column keys), predicates, grouping (one and
+/// two keys), ordering and limits.
 fn random_query(rng: &mut Pcg32) -> String {
     let p = random_predicate(rng);
-    match rng.range_u64(0, 6) {
+    match rng.range_u64(0, 11) {
         0 => {
             let mut q = format!("SELECT ta.a, ta.b FROM ta WHERE {p} ORDER BY ta.a, ta.b, ta.s");
             if rng.next_f64() < 0.5 {
@@ -96,7 +138,22 @@ fn random_query(rng: &mut Pcg32) -> String {
              WHERE {p} GROUP BY ta.s HAVING COUNT(*) > 1 ORDER BY ta.s"
         ),
         4 => "SELECT DISTINCT ta.s FROM ta ORDER BY ta.s".to_string(),
-        _ => "SELECT COUNT(*), SUM(ta.b), MAX(ta.a), COUNT(DISTINCT ta.s) FROM ta".to_string(),
+        5 => "SELECT COUNT(*), SUM(ta.b), MAX(ta.a), COUNT(DISTINCT ta.s) FROM ta".to_string(),
+        // No ORDER BY from here on: the columnar and row engines must
+        // agree on raw output order (probe order, then build order within
+        // a key; groups in first-seen order).
+        6 => format!("SELECT ta.a, tb.f, tb.c, ta.b FROM ta JOIN tb ON ta.a = tb.f WHERE {p}"),
+        7 => format!("SELECT ta.s, ta.a, tb.c, ta.b FROM ta JOIN tb ON ta.s = tb.s WHERE {p}"),
+        8 => format!(
+            "SELECT ta.a, ta.s, tb.c, ta.b FROM ta JOIN tb ON ta.a = tb.a AND ta.s = tb.s \
+             WHERE {p}"
+        ),
+        9 => format!(
+            "SELECT ta.s, ta.b, COUNT(*) AS n, SUM(ta.a) AS t FROM ta WHERE {p} \
+             GROUP BY ta.s, ta.b"
+        ),
+        _ => "SELECT tb.f, tb.a, COUNT(*) AS n, MAX(tb.c) AS hi FROM tb GROUP BY tb.f, tb.a"
+            .to_string(),
     }
 }
 
@@ -109,7 +166,7 @@ fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
 fn engine_agrees_with_naive() {
     let mut rng = Pcg32::seed_from(301);
     for case in 0..128 {
-        let catalog = random_catalog(&mut rng);
+        let catalog = random_catalog(&mut rng, SMALL);
         let sql = random_query(&mut rng);
         let engine = Engine::new(catalog);
         let stmt = parse_select(&sql).expect("generated SQL parses");
@@ -144,7 +201,7 @@ fn every_offered_plan_is_equivalent() {
     for case in 0..128 {
         // All alternative plans the engine offers (seq vs index paths)
         // must produce identical results.
-        let catalog = random_catalog(&mut rng);
+        let catalog = random_catalog(&mut rng, SMALL);
         let sql = random_query(&mut rng);
         let engine = Engine::new(catalog);
         let plans = engine.explain(&sql).expect("plans");
@@ -184,12 +241,11 @@ fn batch_rows(batches: &[ColumnBatch]) -> Vec<Row> {
 /// preserve scan/probe/first-seen order) and the exact same virtual-time
 /// `Work` (bit-identical f64 accounting — zone-map pruning and batching
 /// may change wall-clock time but never virtual time).
-#[test]
-fn columnar_engine_matches_row_engine() {
-    let mut rng = Pcg32::seed_from(303);
+fn check_columnar_matches_row(seed: u64, cases: usize, shape: Shape) -> usize {
+    let mut rng = Pcg32::seed_from(seed);
     let mut plans_checked = 0usize;
-    for case in 0..128 {
-        let catalog = random_catalog(&mut rng);
+    for case in 0..cases {
+        let catalog = random_catalog(&mut rng, shape);
         let sql = random_query(&mut rng);
         let engine = Engine::new(catalog);
         let plans = engine.explain(&sql).expect("plans");
@@ -215,8 +271,25 @@ fn columnar_engine_matches_row_engine() {
             plans_checked += 1;
         }
     }
+    plans_checked
+}
+
+#[test]
+fn columnar_engine_matches_row_engine() {
+    let plans_checked = check_columnar_matches_row(303, 128, SMALL);
     assert!(
         plans_checked > 128,
+        "too few plans exercised: {plans_checked}"
+    );
+}
+
+/// The same property over tables larger than `BATCH_ROWS`, so hash-join
+/// build and probe, group-by and DISTINCT span storage chunks.
+#[test]
+fn columnar_engine_matches_row_engine_across_chunks() {
+    let plans_checked = check_columnar_matches_row(304, 44, LARGE);
+    assert!(
+        plans_checked > 44,
         "too few plans exercised: {plans_checked}"
     );
 }
