@@ -16,6 +16,12 @@ QCC_THREADS=1 cargo test -q --offline --workspace
 echo "==> cargo test -q --workspace (QCC_THREADS=8)"
 QCC_THREADS=8 cargo test -q --offline --workspace
 
+# The benchmark's self-tests: every answer checked against a single-site
+# reference, and the virtual digest compared at 1 and nproc threads, on
+# all three workloads.
+echo "==> fedbench self-tests (answers, 1-vs-nproc digest)"
+cargo test --release --offline --manifest-path fedbench/Cargo.toml
+
 echo "==> golden observability snapshots (QCC_THREADS=1 vs 8)"
 QCC_THREADS=1 cargo test -q --offline --test obs_determinism
 QCC_THREADS=8 cargo test -q --offline --test obs_determinism

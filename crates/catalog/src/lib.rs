@@ -16,10 +16,10 @@
 //!    pure waste (the replicated-fragment pruning of Montoya et al.).
 //! 2. **Replication-bound capping**: of the survivors, only the best
 //!    `bound` replicas per fragment set (ordered by calibrated cost,
-//!    then band, then server id) are consulted. Because the ordering is
-//!    consistent with the federation's own effective-cost ordering, the
-//!    eventual winner always survives the cap — pruning changes how many
-//!    servers are consulted, never which plan wins.
+//!    then band, then candidate position) are consulted. Because the
+//!    ordering is consistent with the federation's own effective-cost
+//!    ordering, the eventual winner always survives the cap — pruning
+//!    changes how many servers are consulted, never which plan wins.
 //!
 //! Selection is **fail-open**: candidates the catalog has no registration
 //! for are passed through untouched, so a world that never registers
@@ -321,9 +321,12 @@ impl ReplicaCatalog {
     /// 1. a candidate strictly worse than some sibling on *both* cost
     ///    and band is dominated and dropped;
     /// 2. the survivors are capped to the best `bound` by
-    ///    `(cost, band, server id)` — an ordering consistent with the
-    ///    federation's effective-cost ordering, so the cheapest replica
-    ///    (the eventual winner) always survives.
+    ///    `(cost, band, candidate position)` — an ordering consistent
+    ///    with the federation's effective-cost ordering, so the cheapest
+    ///    replica (the eventual winner) always survives.
+    ///
+    /// Work is linear in `candidates`: each fragment's replica map is
+    /// resolved once, and dominance is one pass over per-band minima.
     pub fn select_sources(&self, fragments: &[String], candidates: &[ServerId]) -> Vec<ServerId> {
         struct Scored {
             index: usize,
@@ -331,27 +334,28 @@ impl ReplicaCatalog {
             band: u8,
         }
         let st = self.state.lock();
-        let mut scored: Vec<Scored> = Vec::new();
+        // With no fragments, or one the catalog has never seen, no
+        // candidate is scoreable: everything fails open.
+        let replica_maps: Option<Vec<&BTreeMap<ServerId, ReplicaMeta>>> = fragments
+            .iter()
+            .map(|fragment| st.fragments.get(&fragment.to_ascii_lowercase()))
+            .collect();
+        let replica_maps = match replica_maps {
+            Some(maps) if !maps.is_empty() => maps,
+            _ => return candidates.to_vec(),
+        };
+        let mut scored: Vec<Scored> = Vec::with_capacity(candidates.len());
         let mut fail_open: Vec<usize> = Vec::new();
-        for (index, server) in candidates.iter().enumerate() {
+        'candidates: for (index, server) in candidates.iter().enumerate() {
             let mut cost = 0.0;
-            let mut known = !fragments.is_empty();
-            for fragment in fragments {
-                match st
-                    .fragments
-                    .get(&fragment.to_ascii_lowercase())
-                    .and_then(|per_fragment| per_fragment.get(server))
-                {
+            for per_fragment in &replica_maps {
+                match per_fragment.get(server) {
                     Some(meta) => cost += meta.cost_hint,
                     None => {
-                        known = false;
-                        break;
+                        fail_open.push(index);
+                        continue 'candidates;
                     }
                 }
-            }
-            if !known {
-                fail_open.push(index);
-                continue;
             }
             let health = st.health.get(server).copied().unwrap_or_default();
             scored.push(Scored {
@@ -362,25 +366,30 @@ impl ReplicaCatalog {
         }
         drop(st);
 
-        // Dominance: strictly worse on BOTH axes than some sibling.
-        let dominated: Vec<bool> = scored
-            .iter()
-            .map(|c| {
-                scored
-                    .iter()
-                    .any(|other| other.band < c.band && other.cost < c.cost)
-            })
-            .collect();
-        let mut survivors: Vec<&Scored> = scored
-            .iter()
-            .zip(&dominated)
-            .filter(|(_, &dominated)| !dominated)
-            .map(|(c, _)| c)
-            .collect();
+        // Dominance: strictly worse on BOTH axes than some sibling, i.e.
+        // costlier than the cheapest candidate of a strictly lower band.
+        // `below` first holds each band's cheapest cost, then, after a
+        // running minimum, the cheapest cost over all lower bands.
+        // `f64::min` skips NaN just as `<` never holds for it, so NaN
+        // costs neither dominate nor are dominated.
+        let mut below = [f64::INFINITY; 1 << u8::BITS];
+        for c in &scored {
+            let slot = &mut below[usize::from(c.band)];
+            *slot = slot.min(c.cost);
+        }
+        let mut running = f64::INFINITY;
+        for slot in below.iter_mut() {
+            let own = *slot;
+            *slot = running;
+            running = running.min(own);
+        }
+        let dominated = |c: &Scored| below[usize::from(c.band)] < c.cost;
+        let mut survivors: Vec<&Scored> = scored.iter().filter(|c| !dominated(c)).collect();
 
-        // Cap to the best `bound` by (cost, band, candidate order). The
-        // candidate order tie-break equals server-id order whenever the
-        // caller passes candidates sorted by id (the decomposer does).
+        // Cap to the best `bound` by (cost, band, candidate position).
+        // Position is the caller's order; for decomposer-built lists that
+        // is the nickname's source registration order (S1, S2, …, S10),
+        // not server-id order, which would put S10 before S2.
         survivors.sort_by(|a, b| {
             a.cost
                 .total_cmp(&b.cost)
@@ -544,6 +553,115 @@ mod tests {
         assert_eq!(c.fragments_on(&ServerId::new("S2")), vec!["b".to_string()]);
         assert_eq!(c.siblings("b", &ServerId::new("S1")), ids(&["S2"]));
         assert!(c.siblings("a", &ServerId::new("S1")).is_empty());
+    }
+
+    /// Brute-force reference for [`ReplicaCatalog::select_sources`] over
+    /// the test's own model of registrations and health: per-candidate
+    /// scoring and an O(n²) pairwise dominance scan.
+    fn reference_select(
+        bound: usize,
+        hints: &[BTreeMap<ServerId, f64>],
+        health: &BTreeMap<ServerId, Health>,
+        candidates: &[ServerId],
+    ) -> Vec<ServerId> {
+        let mut scored: Vec<(usize, f64, u8)> = Vec::new();
+        let mut keep: Vec<usize> = Vec::new();
+        for (index, server) in candidates.iter().enumerate() {
+            let hint_sum = hints.iter().try_fold(0.0, |sum, per_fragment| {
+                per_fragment.get(server).map(|hint| sum + hint)
+            });
+            match hint_sum {
+                Some(sum) if !hints.is_empty() => {
+                    let h = health.get(server).copied().unwrap_or_default();
+                    scored.push((index, sum * h.cost_factor, h.band));
+                }
+                _ => keep.push(index),
+            }
+        }
+        let mut survivors: Vec<(usize, f64, u8)> = scored
+            .iter()
+            .filter(|(_, cost, band)| {
+                !scored
+                    .iter()
+                    .any(|(_, other_cost, other_band)| other_band < band && other_cost < cost)
+            })
+            .copied()
+            .collect();
+        survivors.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.2.cmp(&b.2)).then(a.0.cmp(&b.0)));
+        if bound > 0 {
+            survivors.truncate(bound);
+        }
+        keep.extend(survivors.iter().map(|s| s.0));
+        keep.sort_unstable();
+        keep.into_iter().map(|i| candidates[i].clone()).collect()
+    }
+
+    #[test]
+    fn selection_matches_brute_force_reference() {
+        use qcc_common::Pcg32;
+        const BANDS: [u8; 4] = [0, 1, 2, DOWN_BAND];
+        // Few distinct values so cost ties are common; a zero hint times
+        // an infinite factor makes NaN costs as well.
+        const HINTS: [f64; 4] = [0.0, 0.5, 1.0, 2.0];
+        const FACTORS: [f64; 4] = [1.0, 0.5, 3.0, f64::INFINITY];
+        let pool: Vec<ServerId> = (1..=48).map(|i| ServerId::new(format!("S{i}"))).collect();
+        for case in 0..500u64 {
+            let mut rng = Pcg32::seed_from(case);
+            let bound = *rng.choose(&[0usize, 1, 3]);
+            let catalog = ReplicaCatalog::new(bound);
+            // Candidates: a random subset of the pool, in registration
+            // order (S1, S2, …, S10 — not id order).
+            let n = rng.range_u64(0, 41) as usize;
+            let mut candidates = pool.clone();
+            for i in 0..candidates.len() {
+                let j = rng.range_u64(i as u64, candidates.len() as u64) as usize;
+                candidates.swap(i, j);
+            }
+            candidates.truncate(n);
+            candidates.sort_by_key(|s| s.as_str()[1..].parse::<u32>().unwrap());
+
+            let n_fragments = rng.range_u64(1, 4) as usize;
+            let fragments: Vec<String> = (0..n_fragments).map(|f| format!("Frag{f}")).collect();
+            let mut hints: Vec<BTreeMap<ServerId, f64>> = vec![BTreeMap::new(); n_fragments];
+            for (fragment, model) in fragments.iter().zip(hints.iter_mut()) {
+                // Occasionally a fragment the catalog has never seen.
+                if rng.next_f64() < 0.05 {
+                    continue;
+                }
+                for server in &pool {
+                    // Some candidates stay unregistered: they fail open.
+                    if rng.next_f64() < 0.1 {
+                        continue;
+                    }
+                    let hint = if rng.next_f64() < 0.5 {
+                        *rng.choose(&HINTS)
+                    } else {
+                        rng.range_f64(0.1, 3.0)
+                    };
+                    catalog.register(fragment, server.clone(), hint, SimTime::ZERO);
+                    model.insert(server.clone(), hint);
+                }
+            }
+            let mut health: BTreeMap<ServerId, Health> = BTreeMap::new();
+            for server in &pool {
+                if rng.next_f64() < 0.3 {
+                    continue; // healthy default
+                }
+                let h = Health {
+                    cost_factor: *rng.choose(&FACTORS),
+                    band: *rng.choose(&BANDS),
+                };
+                catalog.update_health(server, h.cost_factor, h.band);
+                health.insert(server.clone(), h);
+            }
+
+            let got = catalog.select_sources(&fragments, &candidates);
+            let want = reference_select(bound, &hints, &health, &candidates);
+            assert_eq!(
+                got, want,
+                "case {case}: bound {bound}, candidates {candidates:?}"
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! across fragments (and all aggregation in the multi-fragment case)
 //! execute at the integrator.
 
-use crate::nickname::NicknameCatalog;
+use crate::nickname::{NicknameCatalog, NicknameDef};
 use qcc_common::{QccError, Result, Schema, ServerId, Value};
 use qcc_sql::{parse_select, BinaryOp, Expr, JoinClause, SelectItem, SelectStmt, TableRef};
 use std::collections::{BTreeMap, BTreeSet};
@@ -118,13 +118,13 @@ pub fn frag_table(i: usize) -> String {
 pub fn decompose(sql: &str, catalog: &NicknameCatalog) -> Result<DecomposedQuery> {
     let stmt = parse_select(sql)?;
 
-    // Bindings: (binding name, nickname, qualified schema).
-    struct Binding {
+    // Bindings: (binding name, qualified schema, nickname definition).
+    struct Binding<'c> {
         name: String,
-        nickname: String,
         schema: Schema,
+        def: &'c NicknameDef,
     }
-    let mut bindings: Vec<Binding> = Vec::new();
+    let mut bindings: Vec<Binding<'_>> = Vec::new();
     let mut seen = BTreeSet::new();
     for t in stmt.tables() {
         let def = catalog.get(&t.name)?;
@@ -135,7 +135,7 @@ pub fn decompose(sql: &str, catalog: &NicknameCatalog) -> Result<DecomposedQuery
         bindings.push(Binding {
             schema: def.schema.qualify(&name),
             name,
-            nickname: def.name.clone(),
+            def,
         });
     }
 
@@ -172,37 +172,28 @@ pub fn decompose(sql: &str, catalog: &NicknameCatalog) -> Result<DecomposedQuery
         split_and(&j.on, &mut conjuncts);
     }
 
-    // Group bindings by shared hosting servers (greedy, FROM order).
+    // Group bindings by shared hosting servers (greedy, FROM order): a
+    // binding joins the first group still sharing a host with it and
+    // narrows that group's server list to the shared hosts, keeping the
+    // order of the group's first binding. Only a group's first binding
+    // materializes a server list.
     let mut groups: Vec<(Vec<usize>, Vec<ServerId>)> = Vec::new();
     for (bi, b) in bindings.iter().enumerate() {
-        let servers: Vec<ServerId> = catalog
-            .get(&b.nickname)?
-            .sources
-            .iter()
-            .map(|s| s.server.clone())
-            .collect();
-        if servers.is_empty() {
+        if b.def.sources.is_empty() {
             return Err(QccError::NoViablePlan(format!(
                 "nickname {} has no sources",
-                b.nickname
+                b.def.name
             )));
         }
-        let mut placed = false;
-        for (members, common) in groups.iter_mut() {
-            let intersection: Vec<ServerId> = common
-                .iter()
-                .filter(|s| servers.contains(s))
-                .cloned()
-                .collect();
-            if !intersection.is_empty() {
+        match groups
+            .iter_mut()
+            .find(|(_, common)| b.def.hosts_any(common))
+        {
+            Some((members, common)) => {
                 members.push(bi);
-                *common = intersection;
-                placed = true;
-                break;
+                b.def.narrow(common);
             }
-        }
-        if !placed {
-            groups.push((vec![bi], servers));
+            None => groups.push((vec![bi], b.def.servers())),
         }
     }
 
@@ -222,7 +213,7 @@ pub fn decompose(sql: &str, catalog: &NicknameCatalog) -> Result<DecomposedQuery
             index: 0,
             nicknames: members
                 .iter()
-                .map(|&bi| bindings[bi].nickname.clone())
+                .map(|&bi| bindings[bi].def.name.clone())
                 .collect(),
             bindings: members
                 .iter()
@@ -366,7 +357,7 @@ pub fn decompose(sql: &str, catalog: &NicknameCatalog) -> Result<DecomposedQuery
         let mut member_tables: Vec<TableRef> = members
             .iter()
             .map(|&bi| TableRef {
-                name: bindings[bi].nickname.clone(),
+                name: bindings[bi].def.name.clone(),
                 alias: Some(bindings[bi].name.clone()),
             })
             .collect();
@@ -377,7 +368,7 @@ pub fn decompose(sql: &str, catalog: &NicknameCatalog) -> Result<DecomposedQuery
             index: gi as u32,
             nicknames: members
                 .iter()
-                .map(|&bi| bindings[bi].nickname.clone())
+                .map(|&bi| bindings[bi].def.name.clone())
                 .collect(),
             bindings: members
                 .iter()
@@ -804,6 +795,55 @@ mod tests {
         c.add_source("branches", ServerId::new("S1"), "branches")
             .unwrap();
         c
+    }
+
+    /// Three single-column nicknames with partially overlapping hosts,
+    /// `c` registered on `c_hosts`.
+    fn overlap_catalog(c_hosts: &[&str]) -> NicknameCatalog {
+        let mut c = NicknameCatalog::new();
+        let hosts: [(&str, &[&str]); 3] = [
+            ("a", &["S3", "S1", "S4", "S2"]),
+            ("b", &["S2", "S9", "S4"]),
+            ("c", c_hosts),
+        ];
+        for (name, servers) in hosts {
+            c.define(name, Schema::new(vec![Column::new("id", DataType::Int)]));
+            for s in servers {
+                c.add_source(name, ServerId::new(s), name).unwrap();
+            }
+        }
+        c
+    }
+
+    fn ids(names: &[&str]) -> Vec<ServerId> {
+        names.iter().map(ServerId::new).collect()
+    }
+
+    const OVERLAP_SQL: &str = "SELECT a.id FROM a, b, c WHERE a.id = b.id AND b.id = c.id";
+
+    #[test]
+    fn overlapping_hosts_narrow_the_first_bindings_order() {
+        // b shares S4 and S2 with a: the group keeps a's order (S4 before
+        // S2), not b's. c then narrows whatever is left, in that order.
+        let d = decompose(OVERLAP_SQL, &overlap_catalog(&["S7", "S4", "S2"])).unwrap();
+        assert_eq!(d.fragments.len(), 1);
+        assert_eq!(d.fragments[0].bindings, vec!["a", "b", "c"]);
+        assert_eq!(d.fragments[0].candidate_servers, ids(&["S4", "S2"]));
+
+        let d = decompose(OVERLAP_SQL, &overlap_catalog(&["S8", "S4"])).unwrap();
+        assert_eq!(d.fragments[0].candidate_servers, ids(&["S4"]));
+    }
+
+    #[test]
+    fn binding_without_shared_host_opens_a_group_in_its_own_order() {
+        // c overlaps b's hosts (S9) but not the narrowed a+b group (S4,
+        // S2): grouping is greedy, so c starts a second group.
+        let d = decompose(OVERLAP_SQL, &overlap_catalog(&["S9", "S7"])).unwrap();
+        assert_eq!(d.fragments.len(), 2);
+        assert_eq!(d.fragments[0].bindings, vec!["a", "b"]);
+        assert_eq!(d.fragments[0].candidate_servers, ids(&["S4", "S2"]));
+        assert_eq!(d.fragments[1].bindings, vec!["c"]);
+        assert_eq!(d.fragments[1].candidate_servers, ids(&["S9", "S7"]));
     }
 
     #[test]

@@ -378,13 +378,8 @@ impl Federation {
             }
             // Drop candidates the calibrator pinned to infinity (downed
             // servers), unless nothing else remains.
-            let finite: Vec<FragmentCandidate> = candidates
-                .iter()
-                .filter(|c| !c.effective_cost.is_infinite())
-                .cloned()
-                .collect();
-            if !finite.is_empty() {
-                *candidates = finite;
+            if candidates.iter().any(|c| !c.effective_cost.is_infinite()) {
+                candidates.retain(|c| !c.effective_cost.is_infinite());
             }
             // Keep the cheapest plans first so candidate capping keeps the
             // most promising combinations.

@@ -5,7 +5,7 @@
 //! the choice among them is exactly what load-aware routing decides.
 
 use qcc_common::{QccError, Result, Schema, ServerId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One source that can answer a nickname.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,6 +26,30 @@ pub struct NicknameDef {
     /// Sources, in registration order (the first is the "origin", the
     /// rest replicas — the distinction only matters for display).
     pub sources: Vec<SourceMapping>,
+    /// The distinct servers of `sources`, kept in step by
+    /// [`NicknameCatalog::add_source`]: an O(log n) membership test for
+    /// host intersection.
+    hosts: BTreeSet<ServerId>,
+}
+
+impl NicknameDef {
+    /// The servers of `sources`, in registration order (the host list a
+    /// fragment grouping starts from).
+    pub(crate) fn servers(&self) -> Vec<ServerId> {
+        self.sources.iter().map(|s| s.server.clone()).collect()
+    }
+
+    /// Whether any of `servers` hosts this nickname.
+    pub(crate) fn hosts_any(&self, servers: &[ServerId]) -> bool {
+        servers.iter().any(|s| self.hosts.contains(s))
+    }
+
+    /// Narrow `servers` to those hosting this nickname, keeping their
+    /// order: the intersection rule shared by fragment grouping and
+    /// [`NicknameCatalog::common_servers`].
+    pub(crate) fn narrow(&self, servers: &mut Vec<ServerId>) {
+        servers.retain(|s| self.hosts.contains(s));
+    }
 }
 
 /// The integrator's nickname catalog.
@@ -49,6 +73,7 @@ impl NicknameCatalog {
                 name,
                 schema,
                 sources: Vec::new(),
+                hosts: BTreeSet::new(),
             },
         );
     }
@@ -69,6 +94,7 @@ impl NicknameCatalog {
             remote_table: remote_table.into().to_ascii_lowercase(),
         };
         if !def.sources.contains(&mapping) {
+            def.hosts.insert(mapping.server.clone());
             def.sources.push(mapping);
         }
         Ok(())
@@ -93,15 +119,9 @@ impl NicknameCatalog {
         let Some(first) = iter.next() else {
             return Ok(vec![]);
         };
-        let mut servers: Vec<ServerId> = self
-            .get(first)?
-            .sources
-            .iter()
-            .map(|s| s.server.clone())
-            .collect();
+        let mut servers = self.get(first)?.servers();
         for nick in iter {
-            let def = self.get(nick)?;
-            servers.retain(|s| def.sources.iter().any(|m| &m.server == s));
+            self.get(nick)?.narrow(&mut servers);
         }
         servers.dedup();
         Ok(servers)
@@ -161,6 +181,36 @@ mod tests {
         assert_eq!(common, vec![ServerId::new("S1")]);
         let only_acct = c.common_servers(&["accounts"]).unwrap();
         assert_eq!(only_acct.len(), 2);
+        // The first nickname's source order survives the intersection.
+        let mut c = c;
+        c.add_source("branches", ServerId::new("R1"), "branch")
+            .unwrap();
+        let common = c.common_servers(&["accounts", "branches"]).unwrap();
+        assert_eq!(common, vec![ServerId::new("S1"), ServerId::new("R1")]);
+    }
+
+    #[test]
+    fn hosts_track_sources_and_reset_on_redefine() {
+        let mut c = catalog();
+        let hosts: Vec<&str> = c
+            .get("accounts")
+            .unwrap()
+            .hosts
+            .iter()
+            .map(ServerId::as_str)
+            .collect();
+        assert_eq!(hosts, vec!["R1", "S1"]);
+        c.define("accounts", schema());
+        assert!(c.get("accounts").unwrap().hosts.is_empty());
+        c.add_source("accounts", ServerId::new("S7"), "acct")
+            .unwrap();
+        let def = c.get("accounts").unwrap();
+        assert_eq!(
+            def.hosts.iter().collect::<Vec<_>>(),
+            vec![&ServerId::new("S7")]
+        );
+        assert!(def.hosts_any(&[ServerId::new("S1"), ServerId::new("S7")]));
+        assert!(!def.hosts_any(&[ServerId::new("S1")]));
     }
 
     #[test]

@@ -7,10 +7,14 @@
 //! meta-wrapper re-applies the *current* calibration factors to the
 //! cached raw estimates and skips the network round trip entirely.
 //!
-//! Values are `Arc<Vec<FragmentPlan>>` so a hit is a pointer bump, not a
-//! deep clone of plan descriptors, and the hit/miss counters are lock-free
-//! atomics — under compile-time fan-out every worker thread probes the
-//! cache concurrently, so `get` takes exactly one short map lock.
+//! Values are `Arc<Vec<FragmentPlan>>`: a hit returns the stored vector
+//! itself. The middleware then clones each plan into a candidate; that
+//! clone shares the plan tree (`descriptor` is an `Arc<PlanNode>`) and the
+//! server id, and copies only the fragment SQL and signature strings. The
+//! tree a source finally executes is the allocation cached here. The
+//! hit/miss counters are lock-free atomics — under compile-time fan-out
+//! every worker thread probes the cache concurrently, so `get` takes
+//! exactly one short map lock.
 //!
 //! The cache is **bounded**: at most `capacity` entries, evicted in
 //! insertion order (FIFO) so the eviction sequence is deterministic — it
@@ -88,8 +92,9 @@ impl PlanCache {
         self.capacity
     }
 
-    /// Cached wrapper plans for this (server, fragment SQL), if any.
-    /// Hits share the stored vector; nothing is deep-cloned.
+    /// Cached wrapper plans for this (server, fragment SQL), if any. A hit
+    /// returns the stored vector (a reference-count bump) and counts a
+    /// hit; a miss counts a miss.
     pub fn get(&self, server: &ServerId, sql: &str) -> Option<Arc<Vec<FragmentPlan>>> {
         let found = self
             .state

@@ -67,7 +67,7 @@ impl Wrapper for RelationalWrapper {
             .map(|p| FragmentPlan {
                 server: id.clone(),
                 sql: sql.to_owned(),
-                descriptor: Some(p.descriptor),
+                descriptor: Some(Arc::new(p.descriptor)),
                 cost: Some(p.cost),
                 signature: p.signature,
             })
@@ -76,7 +76,7 @@ impl Wrapper for RelationalWrapper {
     }
 
     fn execute(&self, plan: &FragmentPlan, at: SimTime) -> Result<WrapperResult> {
-        let descriptor = plan.descriptor.as_ref().ok_or_else(|| {
+        let descriptor = plan.descriptor.as_deref().ok_or_else(|| {
             QccError::Execution("relational fragment plan without descriptor".into())
         })?;
         let id = self.server.id().clone();
@@ -101,7 +101,7 @@ impl Wrapper for RelationalWrapper {
         cursor: usize,
         interruptible: bool,
     ) -> Result<WrapperStream> {
-        let descriptor = plan.descriptor.as_ref().ok_or_else(|| {
+        let descriptor = plan.descriptor.as_deref().ok_or_else(|| {
             QccError::Execution("relational fragment plan without descriptor".into())
         })?;
         let id = self.server.id().clone();

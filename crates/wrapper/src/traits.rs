@@ -2,6 +2,7 @@
 
 use qcc_common::{ColumnBatch, Cost, Result, Row, ServerId, SimDuration, SimTime};
 use qcc_engine::PlanNode;
+use std::sync::Arc;
 
 /// The two wrapper families the paper distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,8 +22,10 @@ pub struct FragmentPlan {
     /// The fragment SQL this plan answers.
     pub sql: String,
     /// The execution descriptor (absent for file sources, which are
-    /// re-scanned wholesale).
-    pub descriptor: Option<PlanNode>,
+    /// re-scanned wholesale). Built once per EXPLAIN response and shared:
+    /// cloning a plan — into the plan cache, a candidate, a global
+    /// combination or a hedge — bumps a reference count.
+    pub descriptor: Option<Arc<PlanNode>>,
     /// The wrapper's cost estimate. `None` for file wrappers — the paper's
     /// file wrapper "returns file paths to II without estimated cost".
     pub cost: Option<Cost>,

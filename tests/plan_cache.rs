@@ -1,18 +1,83 @@
 //! The meta-wrapper plan cache (Figure 5: *"MW can compute the calibrated
 //! runtime cost without having to consult the wrapper"*).
 
-use load_aware_federation::common::{Column, DataType, Row, Schema, ServerId, Value};
-use load_aware_federation::federation::{Federation, FederationConfig, NicknameCatalog};
+use load_aware_federation::common::{
+    Column, DataType, FragmentId, QueryId, Result, Row, Schema, ServerId, SimDuration, SimTime,
+    Value,
+};
+use load_aware_federation::engine::PlanNode;
+use load_aware_federation::federation::{
+    Deferred, Federation, FederationConfig, Middleware, NicknameCatalog,
+};
 use load_aware_federation::netsim::{Link, LoadProfile, Network, SimClock};
 use load_aware_federation::qcc::{Qcc, QccConfig};
 use load_aware_federation::remote::{RemoteServer, ServerProfile};
 use load_aware_federation::storage::{Catalog, Table};
-use load_aware_federation::wrapper::RelationalWrapper;
-use std::sync::Arc;
+use load_aware_federation::wrapper::{
+    FragmentPlan, RelationalWrapper, Wrapper, WrapperKind, WrapperResult, WrapperStream,
+};
+use std::sync::{Arc, Mutex};
 
 const SQL: &str = "SELECT COUNT(*) FROM t WHERE v > 3";
 
+/// A relational wrapper that keeps every plan it is asked to execute, so
+/// tests can check which plan-tree allocation reached the source.
+#[derive(Debug)]
+struct Recording {
+    inner: RelationalWrapper,
+    executed: Mutex<Vec<FragmentPlan>>,
+}
+
+impl Recording {
+    fn note(&self, plan: &FragmentPlan) {
+        self.executed
+            .lock()
+            .expect("no test thread panics holding the lock")
+            .push(plan.clone());
+    }
+}
+
+impl Wrapper for Recording {
+    fn server_id(&self) -> &ServerId {
+        self.inner.server_id()
+    }
+    fn kind(&self) -> WrapperKind {
+        self.inner.kind()
+    }
+    fn tables(&self) -> Vec<String> {
+        self.inner.tables()
+    }
+    fn plan(&self, sql: &str, at: SimTime) -> Result<(Vec<FragmentPlan>, SimDuration)> {
+        self.inner.plan(sql, at)
+    }
+    fn execute(&self, plan: &FragmentPlan, at: SimTime) -> Result<WrapperResult> {
+        self.note(plan);
+        self.inner.execute(plan, at)
+    }
+    fn execute_stream(
+        &self,
+        plan: &FragmentPlan,
+        at: SimTime,
+        cursor: usize,
+        interruptible: bool,
+    ) -> Result<WrapperStream> {
+        self.note(plan);
+        self.inner.execute_stream(plan, at, cursor, interruptible)
+    }
+    fn ping(&self, at: SimTime) -> Result<SimDuration> {
+        self.inner.ping(at)
+    }
+}
+
 fn world(plan_cache: bool) -> (Federation, Arc<Qcc>) {
+    let (fed, qcc, _) = recorded_world(plan_cache, FederationConfig::default());
+    (fed, qcc)
+}
+
+fn recorded_world(
+    plan_cache: bool,
+    config: FederationConfig,
+) -> (Federation, Arc<Qcc>, Arc<Recording>) {
     let schema = Schema::new(vec![
         Column::new("id", DataType::Int),
         Column::new("v", DataType::Int),
@@ -38,14 +103,13 @@ fn world(plan_cache: bool) -> (Federation, Arc<Qcc>) {
         plan_cache,
         ..QccConfig::default()
     });
-    let mut fed = Federation::new(
-        nicknames,
-        SimClock::new(),
-        qcc.middleware(),
-        FederationConfig::default(),
-    );
-    fed.add_wrapper(Arc::new(RelationalWrapper::new(server, Arc::new(net))));
-    (fed, qcc)
+    let mut fed = Federation::new(nicknames, SimClock::new(), qcc.middleware(), config);
+    let recording = Arc::new(Recording {
+        inner: RelationalWrapper::new(server, Arc::new(net)),
+        executed: Mutex::new(Vec::new()),
+    });
+    fed.add_wrapper(recording.clone());
+    (fed, qcc, recording)
 }
 
 #[test]
@@ -102,4 +166,61 @@ fn cached_plans_are_recalibrated_with_fresh_factors() {
         "fresh factor applied to cached plan: {} vs raw {raw} (old factor {factor_before})",
         effective
     );
+}
+
+#[test]
+fn cache_hits_share_plan_trees_through_streamed_execution() {
+    let (fed, qcc, recording) = recorded_world(
+        true,
+        FederationConfig {
+            stall_factor: 4.0,
+            ..FederationConfig::default()
+        },
+    );
+    let same_tree = |a: &FragmentPlan, b: &Arc<PlanNode>| {
+        a.descriptor.as_ref().is_some_and(|d| Arc::ptr_eq(d, b))
+    };
+
+    fed.submit(SQL).unwrap(); // miss: the EXPLAIN response is cached
+    fed.submit(SQL).unwrap(); // hit
+    let executed = recording
+        .executed
+        .lock()
+        .expect("no test thread panics holding the lock")
+        .clone();
+    assert_eq!(executed.len(), 2, "one streamed fragment per query");
+    let s1 = ServerId::new("S1");
+    let fragment_sql = executed[0].sql.clone();
+    let cached = qcc.plan_cache.get(&s1, &fragment_sql).expect("cached");
+
+    // A hit hands out candidates whose trees are the cached allocations.
+    let (candidates, took) = qcc
+        .middleware()
+        .plan_fragment(
+            &*recording,
+            QueryId(0),
+            FragmentId::new(QueryId(0), 0),
+            &fragment_sql,
+            SimTime::ZERO,
+            &mut Deferred::new(),
+        )
+        .unwrap();
+    assert_eq!(took, SimDuration::ZERO, "served from the cache");
+    assert_eq!(candidates.len(), cached.len());
+    for (cand, plan) in candidates.iter().zip(cached.iter()) {
+        let tree = plan.descriptor.as_ref().expect("relational plan");
+        assert!(
+            same_tree(&cand.plan, tree),
+            "candidate deep-cloned its plan"
+        );
+    }
+
+    // Both executions — the miss and the hit — ran the cached tree itself.
+    for ran in &executed {
+        let tree = ran.descriptor.as_ref().expect("relational plan");
+        assert!(
+            cached.iter().any(|plan| same_tree(plan, tree)),
+            "the source executed a copy, not the cached plan"
+        );
+    }
 }
