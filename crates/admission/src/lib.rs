@@ -63,6 +63,11 @@ pub const SHED_REASONS: &[&str] = &[
     "no_tokens",
 ];
 
+/// Safety multiplier on the per-template execution-time estimate in the
+/// shed-on-dispatch check (`now + SHED_SAFETY × estimate > deadline`
+/// sheds as `predicted_late`). `1.0` trusts the estimate as it stands.
+const SHED_SAFETY: f64 = 1.0;
+
 /// Counter snapshot for quick assertions without an `Obs` handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionCounts {
@@ -188,7 +193,7 @@ impl AdmissionController {
     /// tickets in EDF-over-WFQ order. Shedding happens here, at dispatch
     /// time, and only on predicted lateness — a ticket whose deadline has
     /// already passed sheds as `deadline_lapsed`, one whose per-template
-    /// service estimate predicts a miss (`now + shed_safety × estimate >
+    /// service estimate predicts a miss (`now + SHED_SAFETY × estimate >
     /// deadline`) sheds as `predicted_late`, and neither counts against
     /// the quota. A backlog that can still drain in time is dispatched in
     /// full, however old.
@@ -205,8 +210,7 @@ impl AdmissionController {
                 batch.shed.push(ticket);
                 continue;
             }
-            let estimate =
-                self.config.shed_safety.max(0.0) * self.estimates.exec_estimate(&ticket.template);
+            let estimate = SHED_SAFETY * self.estimates.exec_estimate(&ticket.template);
             if ticket.predicted_late(now, estimate) {
                 self.record_shed(&ticket, now, "predicted_late");
                 batch.shed.push(ticket);

@@ -15,17 +15,30 @@ use qcc_common::{
 use qcc_engine::Engine;
 use qcc_netsim::{slowdown, LoadProfile, ServerLoad, SimClock};
 use qcc_storage::{Catalog, ColumnStats, Table, TableStats};
-use qcc_wrapper::{StreamChunk, StreamOutcome, Wrapper, WrapperResult, WrapperStream};
+use qcc_wrapper::{
+    FragmentPlan, StreamChunk, StreamOutcome, Wrapper, WrapperKind, WrapperResult, WrapperStream,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+/// Integrator CPU speed (work units per virtual ms).
+const II_SPEED: f64 = 1.0;
+
+/// Cap on enumerated global plan candidates per query.
+const MAX_GLOBAL_CANDIDATES: usize = 64;
+
+/// Virtual-time lag between a mid-stream interrupt and the stall detector
+/// noticing it (one probe interval).
+pub const REROUTE_PROBE_MS: f64 = 1.0;
+
+/// Replica selection band: a remainder only re-dispatches to an alternate
+/// whose calibrated cost is within `REROUTE_BAND ×` the cancelled
+/// primary's estimate.
+const REROUTE_BAND: f64 = 2.0;
 
 /// Integrator configuration.
 #[derive(Debug, Clone)]
 pub struct FederationConfig {
-    /// Integrator CPU speed (work units per virtual ms).
-    pub ii_speed: f64,
-    /// Cap on enumerated global plan candidates per query.
-    pub max_global_candidates: usize,
     /// How many times a query is re-routed after a fragment failure before
     /// giving up.
     pub retry_limit: usize,
@@ -34,37 +47,27 @@ pub struct FederationConfig {
     /// byte-identical for any value ≥ 1; this only trades wall-clock time
     /// (see DESIGN.md "Threading model").
     pub threads: usize,
-    /// Mid-query adaptivity switch (DESIGN.md §15). `0.0` — the default
-    /// sentinel — disables it entirely: fragments execute call-and-wait
-    /// exactly as before, byte-identical journals included. Any positive
-    /// value enables streamed fragment execution with a stall detector:
-    /// a fragment still incomplete after `stall_factor ×` its calibrated
-    /// estimate (or whose source dies mid-stream) is cancelled and its
-    /// *remainder* re-dispatched to a within-band replica at the cursor.
+    /// The stall detector (DESIGN.md §15). Every fragment executes as a
+    /// resumable stream; with a positive value, a fragment still
+    /// incomplete after `stall_factor ×` its calibrated estimate (or whose
+    /// source dies mid-stream) is cancelled and its *remainder*
+    /// re-dispatched to a within-band replica at the cursor. `0.0` — the
+    /// default — means no detector: the slow threshold is infinite and a
+    /// crash that opens mid-service goes unnoticed until the next
+    /// arrival-time liveness check.
     pub stall_factor: f64,
-    /// Virtual-time lag between a mid-stream interrupt and the stall
-    /// detector noticing it (one probe interval).
-    pub reroute_probe_ms: f64,
     /// How many remainder re-dispatches one fragment may attempt before
     /// the failure surfaces to the whole-query retry loop.
     pub reroute_limit: usize,
-    /// Replica selection band: a remainder only re-dispatches to an
-    /// alternate whose calibrated cost is within `reroute_band ×` the
-    /// cancelled primary's estimate.
-    pub reroute_band: f64,
 }
 
 impl Default for FederationConfig {
     fn default() -> Self {
         FederationConfig {
-            ii_speed: 1.0,
-            max_global_candidates: 64,
             retry_limit: 2,
             threads: qcc_common::default_threads(),
             stall_factor: 0.0,
-            reroute_probe_ms: 1.0,
             reroute_limit: 1,
-            reroute_band: 2.0,
         }
     }
 }
@@ -394,7 +397,7 @@ impl Federation {
         // lexicographic order (rightmost fragment varies fastest — the
         // same first-`cap` set the old combo-cloning loop produced);
         // only the surviving combinations materialize candidate clones.
-        let cap = self.config.max_global_candidates;
+        let cap = MAX_GLOBAL_CANDIDATES;
         let mut combos: Vec<Vec<FragmentCandidate>> = Vec::new();
         let mut odometer = vec![0usize; per_fragment.len()];
         'enumerate: while combos.len() < cap {
@@ -487,7 +490,7 @@ impl Federation {
         }
         let engine = Engine::new(catalog);
         match engine.explain(&stmt.to_string()) {
-            Ok(plans) if !plans.is_empty() => plans[0].cost.calibrate(1.0 / self.config.ii_speed),
+            Ok(plans) if !plans.is_empty() => plans[0].cost.calibrate(1.0 / II_SPEED),
             _ => Cost::fixed(1.0),
         }
     }
@@ -735,23 +738,16 @@ impl Federation {
                 }
             }
 
-            // Adaptivity on: streamed execution with stall detection and
-            // remainder re-dispatch. Off (stall_factor == 0): the original
-            // call-and-wait path, byte-identical.
-            let executed = if self.config.stall_factor > 0.0 {
-                self.execute_global_streaming(
-                    qid,
-                    &decomposed,
-                    chosen,
-                    &hedges,
-                    &candidates,
-                    &banned,
-                    clock,
-                    effects,
-                )
-            } else {
-                self.execute_global(qid, &decomposed, chosen, &hedges, clock, effects)
-            };
+            let executed = self.execute_global(
+                qid,
+                &decomposed,
+                chosen,
+                &hedges,
+                &candidates,
+                &banned,
+                clock,
+                effects,
+            );
             match executed {
                 Ok((rows, fragment_times)) => {
                     let response_ms = clock.now().since(submitted).as_millis();
@@ -911,177 +907,15 @@ impl Federation {
         hedges
     }
 
-    /// Execute the fragments of a chosen global plan in parallel worker
-    /// threads — every fragment (and every hedge replica) stamped with the
-    /// shared `start` snapshot, results gathered in task-index order
-    /// (primaries first, then hedges), one coordinator-side clock advance
-    /// by the slowest *winning* fragment — then merge. Where a hedge ran,
-    /// the faster success wins its slot (ties favour the primary), the
-    /// loser's rows are suppressed at the merge, and a hedge that succeeds
-    /// where its primary failed rescues the query without burning a retry.
-    fn execute_global(
-        &self,
-        qid: QueryId,
-        decomposed: &DecomposedQuery,
-        chosen: &GlobalCandidate,
-        hedges: &BTreeMap<usize, FragmentCandidate>,
-        clock: &SimClock,
-        effects: &mut Deferred,
-    ) -> Result<(Vec<Row>, FragmentTimes)> {
-        let start = clock.now();
-        let n = chosen.fragments.len();
-        let hedge_tasks: Vec<(usize, &FragmentCandidate)> =
-            hedges.iter().map(|(slot, cand)| (*slot, cand)).collect();
-        let task_candidate = |i: usize| -> &FragmentCandidate {
-            if i < n {
-                &chosen.fragments[i]
-            } else {
-                hedge_tasks[i - n].1
-            }
-        };
-        let outcomes = scatter_indexed(n + hedge_tasks.len(), self.config.threads, |i| {
-            let cand = task_candidate(i);
-            let mut local = Deferred::new();
-            let result = self.wrapper(&cand.plan.server).and_then(|wrapper| {
-                self.middleware.execute_fragment(
-                    wrapper.as_ref(),
-                    qid,
-                    cand.fragment,
-                    &cand.plan,
-                    start,
-                    &mut local,
-                )
-            });
-            (result, local)
-        });
-
-        // Gather barrier: every task ran, so every task's observations are
-        // merged (in index order: primaries, then hedges) before the first
-        // error — if any — is surfaced. Per slot the winner is the fastest
-        // success among primary and hedge.
-        let mut primary: Vec<Option<qcc_wrapper::WrapperResult>> = (0..n).map(|_| None).collect();
-        let mut hedge: Vec<Option<qcc_wrapper::WrapperResult>> = (0..n).map(|_| None).collect();
-        let mut first_err: Option<(usize, QccError)> = None;
-        for (i, (result, local)) in outcomes.into_iter().enumerate() {
-            effects.merge(local);
-            let cand = task_candidate(i);
-            let slot = if i < n { i } else { hedge_tasks[i - n].0 };
-            match result {
-                Ok(result) => {
-                    self.obs
-                        .counter_inc("fragments_total", &[("server", cand.plan.server.as_str())]);
-                    if self.obs.is_enabled() {
-                        let obs = self.obs.clone();
-                        let server = cand.plan.server.to_string();
-                        let signature = cand.plan.signature.clone();
-                        let ms = result.response_time.as_millis();
-                        effects.defer(move || {
-                            obs.event(
-                                start,
-                                "fragment",
-                                vec![
-                                    ("query", qid.0.into()),
-                                    ("server", server.into()),
-                                    ("signature", signature.into()),
-                                    ("ms", ms.into()),
-                                ],
-                            );
-                        });
-                    }
-                    if i < n {
-                        primary[slot] = Some(result);
-                    } else {
-                        hedge[slot] = Some(result);
-                    }
-                }
-                Err(e) => {
-                    // A failed primary may still be rescued by its hedge;
-                    // remember the earliest-slot primary error in case not.
-                    let rank = if i < n { slot } else { n + slot };
-                    if first_err.as_ref().map(|(r, _)| rank < *r).unwrap_or(true) {
-                        first_err = Some((rank, e));
-                    }
-                }
-            }
-        }
-
-        let mut results = Vec::with_capacity(n);
-        let mut slowest = SimDuration::ZERO;
-        let mut fragment_times = Vec::new();
-        for slot in 0..n {
-            let p = primary[slot].take();
-            let h = hedge[slot].take();
-            let had_both = p.is_some() && h.is_some();
-            let (winner, hedged) = match (p, h) {
-                (Some(p), Some(h)) => {
-                    // Tie favours the primary: the hedge is insurance, not
-                    // a reroute.
-                    if h.response_time < p.response_time {
-                        (h, true)
-                    } else {
-                        (p, false)
-                    }
-                }
-                (Some(p), None) => (p, false),
-                (None, Some(h)) => (h, true),
-                (None, None) => {
-                    let (_, e) = first_err.take().unwrap_or((
-                        0,
-                        QccError::Execution(format!("fragment {slot} produced no result")),
-                    ));
-                    return Err(e);
-                }
-            };
-            let winner_server = if hedged {
-                hedges[&slot].plan.server.clone()
-            } else {
-                chosen.fragments[slot].plan.server.clone()
-            };
-            if hedged {
-                self.obs.counter_inc("hedge_wins_total", &[]);
-            }
-            if had_both {
-                // Duplicate suppression: exactly one of the two results
-                // feeds the merge; journal which replica was dropped.
-                self.obs
-                    .counter_inc("hedge_duplicates_suppressed_total", &[]);
-                if self.obs.is_enabled() {
-                    let obs = self.obs.clone();
-                    let winner = winner_server.to_string();
-                    let suppressed = if hedged {
-                        chosen.fragments[slot].plan.server.to_string()
-                    } else {
-                        hedges[&slot].plan.server.to_string()
-                    };
-                    effects.defer(move || {
-                        obs.event(
-                            start,
-                            "hedge_result",
-                            vec![
-                                ("query", qid.0.into()),
-                                ("fragment", slot.into()),
-                                ("winner", winner.into()),
-                                ("suppressed", suppressed.into()),
-                            ],
-                        );
-                    });
-                }
-            }
-            slowest = slowest.max(winner.response_time);
-            fragment_times.push((winner_server, winner.response_time.as_millis()));
-            results.push(winner);
-        }
-        clock.advance(slowest);
-        self.merge_global(qid, decomposed, results, fragment_times, clock, effects)
-    }
-
-    /// Merge gathered fragment results at the integrator (shared tail of
-    /// the call-and-wait and streaming execution paths).
+    /// Merge the gathered slot results at the integrator: a single
+    /// fragment passes straight through; otherwise the merge statement
+    /// runs on the local engine over the fragments' batches, and its work
+    /// advances the clock at the integrator's speed and load.
     fn merge_global(
         &self,
         qid: QueryId,
         decomposed: &DecomposedQuery,
-        results: Vec<qcc_wrapper::WrapperResult>,
+        results: Vec<WrapperResult>,
         fragment_times: FragmentTimes,
         clock: &SimClock,
         effects: &mut Deferred,
@@ -1112,7 +946,7 @@ impl Federation {
                 let (rows, work) = engine.execute_sql(&stmt.to_string())?;
                 let merge_start = clock.now();
                 let rho = self.ii_load.utilization(merge_start);
-                let merge_ms = work.cpu_units / self.config.ii_speed * slowdown(rho, 1.0);
+                let merge_ms = work.cpu_units / II_SPEED * slowdown(rho, 1.0);
                 clock.advance(SimDuration::from_millis(merge_ms));
                 if self.obs.is_enabled() {
                     let obs = self.obs.clone();
@@ -1129,20 +963,34 @@ impl Federation {
         }
     }
 
-    /// Streamed execution with mid-query adaptivity (DESIGN.md §15). The
-    /// scatter fans out cursor-0 streams for every fragment (and hedge
-    /// replica); the gather then resolves slots sequentially on the
-    /// coordinator. A stream that completed within `stall_factor ×` its
-    /// calibrated estimate is accepted as-is — the fast path matches the
-    /// call-and-wait semantics. Otherwise the stall detector cancels the
-    /// stream (at the threshold instant, or one probe interval after a
-    /// mid-stream interrupt) and re-dispatches the *remainder* — the
-    /// cursor position, not the whole fragment — to a within-band replica.
-    /// Duplicate rows are impossible by construction: each chunk index is
-    /// merged from exactly one source, and late chunks of a cancelled
-    /// stream are counted as suppressed, never merged.
+    /// Execute the fragments of a chosen global plan (DESIGN.md §15), then
+    /// merge. The scatter fans out a cursor-0 stream for every fragment
+    /// and every hedge replica, all stamped with the same `start`
+    /// snapshot; the gather merges the tasks' deferred effects in task
+    /// order (primaries, then hedges) and resolves slots in slot order on
+    /// the coordinator, so the outcome is the same for any thread count.
+    /// The clock advances once, by the slowest winning slot.
+    ///
+    /// A slot's stream that completed within `stall_factor ×` its
+    /// calibrated estimate is clean, and is acknowledged at the gather
+    /// barrier in task order, right after its task's effects — whether
+    /// it wins its slot, loses a hedge race, or sits next to a slot that
+    /// fails the query. Where a hedge ran, the faster clean stream wins
+    /// (ties favour the primary), the loser's rows are suppressed at the
+    /// merge, and a hedge that succeeds where its primary failed rescues
+    /// the query without burning a retry. A slot with no clean stream
+    /// goes to the stall detector, which cancels the stream (at the
+    /// threshold instant, or one probe interval after a mid-stream
+    /// interrupt) and re-dispatches the *remainder* — the cursor
+    /// position, not the whole fragment — to a within-band replica. Each
+    /// chunk index is merged from exactly one source, so duplicate rows
+    /// are impossible by construction.
+    ///
+    /// With `stall_factor == 0` there is no detector: the threshold is
+    /// infinite and the cursor-0 streams are not interruptible, so every
+    /// stream that returns is complete and clean.
     #[allow(clippy::too_many_arguments)]
-    fn execute_global_streaming(
+    fn execute_global(
         &self,
         qid: QueryId,
         decomposed: &DecomposedQuery,
@@ -1154,6 +1002,7 @@ impl Federation {
         effects: &mut Deferred,
     ) -> Result<(Vec<Row>, FragmentTimes)> {
         let start = clock.now();
+        let detector = self.config.stall_factor > 0.0;
         let n = chosen.fragments.len();
         let hedge_tasks: Vec<(usize, &FragmentCandidate)> =
             hedges.iter().map(|(slot, cand)| (*slot, cand)).collect();
@@ -1168,8 +1017,14 @@ impl Federation {
             let cand = task_candidate(i);
             let mut local = Deferred::new();
             let result = self.wrapper(&cand.plan.server).and_then(|wrapper| {
+                let uninterruptible = Uninterruptible(wrapper.as_ref());
+                let wrapper: &dyn Wrapper = if detector {
+                    wrapper.as_ref()
+                } else {
+                    &uninterruptible
+                };
                 self.middleware.execute_fragment_stream(
-                    wrapper.as_ref(),
+                    wrapper,
                     qid,
                     cand.fragment,
                     &cand.plan,
@@ -1181,8 +1036,27 @@ impl Federation {
             (result, local)
         });
 
-        // Gather barrier: merge every task's deferred observations in task
-        // order (primaries, then hedges) before any slot is resolved.
+        // A stream that completed within its slot's threshold is clean.
+        let thresholds: Vec<f64> = chosen
+            .fragments
+            .iter()
+            .map(|cand| {
+                let est = cand.effective_cost.total();
+                if detector && est > 0.0 {
+                    self.config.stall_factor * est
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .collect();
+        let is_clean = |slot: usize, s: &WrapperStream| {
+            s.outcome == StreamOutcome::Complete && s.response_time.as_millis() <= thresholds[slot]
+        };
+
+        // Gather barrier, in task order (primaries, then hedges): merge
+        // each task's deferred observations, then acknowledge its stream
+        // if clean — before any slot is resolved, so a fragment that ran
+        // clean is counted and calibrated even when another slot fails.
         let mut primary: Vec<Option<WrapperStream>> = (0..n).map(|_| None).collect();
         let mut hedge: Vec<Option<WrapperStream>> = (0..n).map(|_| None).collect();
         let mut first_err: Option<(usize, QccError)> = None;
@@ -1191,6 +1065,9 @@ impl Federation {
             let slot = if i < n { i } else { hedge_tasks[i - n].0 };
             match result {
                 Ok(stream) => {
+                    if is_clean(slot, &stream) {
+                        self.note_complete_stream(qid, task_candidate(i), &stream, start, effects);
+                    }
                     if i < n {
                         primary[slot] = Some(stream);
                     } else {
@@ -1198,6 +1075,8 @@ impl Federation {
                     }
                 }
                 Err(e) => {
+                    // A failed primary may still be rescued by its hedge;
+                    // remember the earliest-slot primary error in case not.
                     let rank = if i < n { slot } else { n + slot };
                     if first_err.as_ref().map(|(r, _)| rank < *r).unwrap_or(true) {
                         first_err = Some((rank, e));
@@ -1214,24 +1093,16 @@ impl Federation {
         let mut slowest = SimDuration::ZERO;
         for slot in 0..n {
             let primary_cand = &chosen.fragments[slot];
-            let est = primary_cand.effective_cost.total();
-            let threshold_ms = if est > 0.0 {
-                self.config.stall_factor * est
-            } else {
-                f64::INFINITY
-            };
             let p = primary[slot].take();
             let h = hedge[slot].take();
-            let clean = |s: &WrapperStream| {
-                s.outcome == StreamOutcome::Complete && s.response_time.as_millis() <= threshold_ms
-            };
+            let clean = |s: &WrapperStream| is_clean(slot, s);
             // Classify the slot once: `Ok` carries the clean winner (plus
             // the losing stream and whether the winner was the hedge),
             // `Err` hands both streams to the stall path untouched.
             let picked = match (p, h) {
                 (Some(pp), Some(hh)) => match (clean(&pp), clean(&hh)) {
-                    // PR 8's hedge race, now on streams: the fastest clean
-                    // completion wins its slot, ties favour the primary.
+                    // The hedge race: the fastest clean completion wins
+                    // its slot, ties favour the primary.
                     (true, true) => {
                         if hh.response_time < pp.response_time {
                             Ok((hh, Some(pp), true))
@@ -1257,27 +1128,27 @@ impl Federation {
                     if use_hedge {
                         self.obs.counter_inc("hedge_wins_total", &[]);
                     }
-                    self.note_complete_stream(qid, winner_cand, &winner, start, effects);
-                    if let Some(loser) = loser {
-                        if loser.outcome == StreamOutcome::Complete {
-                            // A full duplicate arrived; suppress it at the
-                            // merge, but keep its honest whole-fragment sample
-                            // for calibration (as the call-and-wait path did).
-                            let loser_cand = if use_hedge {
-                                primary_cand
-                            } else {
-                                &hedges[&slot]
-                            };
+                    // A complete loser is a full duplicate: its rows are
+                    // suppressed at the merge. A clean one was acknowledged
+                    // at the barrier; a slow one still is an honest
+                    // whole-fragment sample, acknowledged here.
+                    if let Some(loser) = loser.filter(|l| l.outcome == StreamOutcome::Complete) {
+                        let loser_cand = if use_hedge {
+                            primary_cand
+                        } else {
+                            &hedges[&slot]
+                        };
+                        if !clean(&loser) {
                             self.note_complete_stream(qid, loser_cand, &loser, start, effects);
-                            self.defer_suppression(
-                                qid,
-                                slot,
-                                &winner_cand.plan.server,
-                                &loser_cand.plan.server,
-                                start,
-                                effects,
-                            );
                         }
+                        self.defer_suppression(
+                            qid,
+                            slot,
+                            &winner_cand.plan.server,
+                            &loser_cand.plan.server,
+                            start,
+                            effects,
+                        );
                     }
                     slowest = slowest.max(winner.response_time);
                     fragment_times.push((
@@ -1311,17 +1182,13 @@ impl Federation {
                     } else {
                         primary_cand
                     };
-                    let other_server = other.as_ref().map(|_| {
+                    let other_cand = other.as_ref().map(|_| {
                         if base_is_hedge {
-                            primary_cand.plan.server.clone()
+                            primary_cand
                         } else {
-                            hedges[&slot].plan.server.clone()
+                            &hedges[&slot]
                         }
                     });
-                    let other_complete = other
-                        .as_ref()
-                        .map(|s| s.outcome == StreamOutcome::Complete)
-                        .unwrap_or(false);
                     let (result, server) = self.resolve_stall(
                         qid,
                         slot,
@@ -1329,24 +1196,24 @@ impl Federation {
                         primary_cand,
                         base_cand,
                         base,
-                        other_server.clone(),
+                        other_cand.map(|c| &c.plan.server),
                         pool,
                         banned,
-                        threshold_ms,
+                        thresholds[slot],
                         start,
                         effects,
                     )?;
-                    if other_complete {
-                        // The unused replica completed in full; its rows are
-                        // suppressed at the merge like any hedge duplicate.
-                        // (`other_complete` implies the replica stream exists,
-                        // so `other_server` was derived from it above.)
-                        if let Some(other_server) = other_server.as_ref() {
+                    if let (Some(other), Some(other_cand)) = (&other, other_cand) {
+                        if other.outcome == StreamOutcome::Complete {
+                            // The unused replica completed in full: it is
+                            // acknowledged like any complete loser, and its
+                            // rows are suppressed at the merge.
+                            self.note_complete_stream(qid, other_cand, other, start, effects);
                             self.defer_suppression(
                                 qid,
                                 slot,
                                 &server,
-                                other_server,
+                                &other_cand.plan.server,
                                 start,
                                 effects,
                             );
@@ -1375,7 +1242,7 @@ impl Federation {
         primary_cand: &FragmentCandidate,
         base_cand: &FragmentCandidate,
         base: WrapperStream,
-        exclude_also: Option<ServerId>,
+        exclude_also: Option<&ServerId>,
         pool: &[GlobalCandidate],
         banned: &BTreeSet<ServerId>,
         threshold_ms: f64,
@@ -1383,12 +1250,12 @@ impl Federation {
         effects: &mut Deferred,
     ) -> Result<(WrapperResult, ServerId)> {
         use qcc_common::obs::reroute_events as ev;
-        let probe = SimDuration::from_millis(self.config.reroute_probe_ms.max(0.0));
+        let probe = SimDuration::from_millis(REROUTE_PROBE_MS);
         let base_server = base_cand.plan.server.clone();
         let mut excluded = banned.clone();
         excluded.insert(base_server.clone());
         if let Some(s) = exclude_also {
-            excluded.insert(s);
+            excluded.insert(s.clone());
         }
 
         if base.outcome == StreamOutcome::Complete {
@@ -1534,19 +1401,17 @@ impl Federation {
             ) {
                 Ok(stream) if stream.outcome == StreamOutcome::Complete => {
                     let end = now + stream.response_time;
-                    self.obs
-                        .counter_inc("fragments_total", &[("server", alt_server.as_str())]);
-                    self.obs
-                        .counter_inc("fragment_resumes_total", &[("server", alt_server.as_str())]);
-                    sources.push((alt_server.clone(), cursor, stream.next_cursor()));
+                    let ms = stream.response_time.as_millis();
                     // Note: no `observe_fragment` for the remainder — a
                     // partial run is not a valid calibration sample for
                     // the whole-fragment estimate.
+                    self.note_fragment(qid, &alt.plan, ms, now, effects);
+                    self.obs
+                        .counter_inc("fragment_resumes_total", &[("server", alt_server.as_str())]);
+                    sources.push((alt_server.clone(), cursor, stream.next_cursor()));
                     if self.obs.is_enabled() {
                         let obs = self.obs.clone();
                         let server = alt_server.to_string();
-                        let signature = alt.plan.signature.clone();
-                        let ms = stream.response_time.as_millis();
                         let delivered = stream.delivered();
                         let provenance = sources
                             .iter()
@@ -1555,16 +1420,6 @@ impl Federation {
                             .join("+");
                         let resume_cursor = cursor;
                         effects.defer(move || {
-                            obs.event(
-                                now,
-                                "fragment",
-                                vec![
-                                    ("query", qid.0.into()),
-                                    ("server", server.clone().into()),
-                                    ("signature", signature.into()),
-                                    ("ms", ms.into()),
-                                ],
-                            );
                             obs.event(
                                 end,
                                 ev::FRAGMENT_RESUME,
@@ -1648,7 +1503,7 @@ impl Federation {
     /// cheapest alternate plan for the same slot, on a different unbanned
     /// server with token capacity, with the *same plan signature and SQL*
     /// (so the cursor protocol's chunk schedule lines up), within
-    /// `reroute_band ×` the primary's estimate; when a replica catalog is
+    /// `REROUTE_BAND ×` the primary's estimate; when a replica catalog is
     /// attached the alternate must also be a registered sibling on every
     /// nickname the fragment scans (fail open for unregistered fragments,
     /// as compile does). Ties break by server id.
@@ -1662,7 +1517,7 @@ impl Federation {
     ) -> Option<FragmentCandidate> {
         let est = primary.effective_cost.total();
         let limit = if est > 0.0 {
-            est * self.config.reroute_band.max(1.0)
+            est * REROUTE_BAND
         } else {
             f64::INFINITY
         };
@@ -1719,9 +1574,9 @@ impl Federation {
         best.cloned()
     }
 
-    /// Accept a fully-completed stream into the merge: count it, journal
-    /// the fragment span, and acknowledge it to the middleware — the only
-    /// place streamed successes feed reliability and calibration.
+    /// Acknowledge a fully-completed stream: count it, journal the
+    /// fragment, and report it to the middleware — the only place fragment
+    /// successes feed reliability and calibration.
     fn note_complete_stream(
         &self,
         qid: QueryId,
@@ -1730,16 +1585,31 @@ impl Federation {
         start: SimTime,
         effects: &mut Deferred,
     ) {
+        let ms = stream.response_time.as_millis();
+        self.note_fragment(qid, &cand.plan, ms, start, effects);
+        self.middleware
+            .observe_fragment(qid, cand.fragment, &cand.plan, ms, start, effects);
+    }
+
+    /// Count a fragment execution that delivered its rows and journal its
+    /// `fragment` event, stamped `at` (the dispatch instant).
+    fn note_fragment(
+        &self,
+        qid: QueryId,
+        plan: &FragmentPlan,
+        ms: f64,
+        at: SimTime,
+        effects: &mut Deferred,
+    ) {
         self.obs
-            .counter_inc("fragments_total", &[("server", cand.plan.server.as_str())]);
+            .counter_inc("fragments_total", &[("server", plan.server.as_str())]);
         if self.obs.is_enabled() {
             let obs = self.obs.clone();
-            let server = cand.plan.server.to_string();
-            let signature = cand.plan.signature.clone();
-            let ms = stream.response_time.as_millis();
+            let server = plan.server.to_string();
+            let signature = plan.signature.clone();
             effects.defer(move || {
                 obs.event(
-                    start,
+                    at,
                     "fragment",
                     vec![
                         ("query", qid.0.into()),
@@ -1750,14 +1620,6 @@ impl Federation {
                 );
             });
         }
-        self.middleware.observe_fragment(
-            qid,
-            cand.fragment,
-            &cand.plan,
-            stream.response_time.as_millis(),
-            start,
-            effects,
-        );
     }
 
     /// Journal a stall-detector cancellation.
@@ -1834,12 +1696,54 @@ impl Federation {
     }
 }
 
-/// A completed stream's chunks as a call-and-wait style result.
+/// A completed stream's chunks as one fragment result.
 fn stream_result(stream: WrapperStream) -> WrapperResult {
     WrapperResult {
         bytes: stream.bytes,
         response_time: stream.response_time,
         batches: stream.chunks.into_iter().map(|c| c.batch).collect(),
+    }
+}
+
+/// A wrapper whose cursor streams are never interruptible — the dispatch
+/// view without a stall detector, where a crash that opens mid-service
+/// goes unnoticed until the next arrival-time liveness check.
+#[derive(Debug)]
+struct Uninterruptible<'a>(&'a dyn Wrapper);
+
+impl Wrapper for Uninterruptible<'_> {
+    fn server_id(&self) -> &ServerId {
+        self.0.server_id()
+    }
+
+    fn kind(&self) -> WrapperKind {
+        self.0.kind()
+    }
+
+    fn tables(&self) -> Vec<String> {
+        self.0.tables()
+    }
+
+    fn plan(&self, sql: &str, at: SimTime) -> Result<(Vec<FragmentPlan>, SimDuration)> {
+        self.0.plan(sql, at)
+    }
+
+    fn execute(&self, plan: &FragmentPlan, at: SimTime) -> Result<WrapperResult> {
+        self.0.execute(plan, at)
+    }
+
+    fn execute_stream(
+        &self,
+        plan: &FragmentPlan,
+        at: SimTime,
+        cursor: usize,
+        _interruptible: bool,
+    ) -> Result<WrapperStream> {
+        self.0.execute_stream(plan, at, cursor, false)
+    }
+
+    fn ping(&self, at: SimTime) -> Result<SimDuration> {
+        self.0.ping(at)
     }
 }
 
@@ -1869,6 +1773,11 @@ mod tests {
     /// Two servers: S1 hosts accounts+branches, S2 hosts a replica of
     /// branches only.
     fn setup() -> Federation {
+        setup_with_servers().0
+    }
+
+    /// [`setup`], also handing back the two servers (S1, S2).
+    fn setup_with_servers() -> (Federation, [Arc<RemoteServer>; 2]) {
         let accounts_schema = Schema::new(vec![
             Column::new("id", DataType::Int),
             Column::new("balance", DataType::Float),
@@ -1932,9 +1841,12 @@ mod tests {
             Arc::new(PassthroughMiddleware::default()),
             FederationConfig::default(),
         );
-        fed.add_wrapper(Arc::new(RelationalWrapper::new(s1, Arc::clone(&net))));
-        fed.add_wrapper(Arc::new(RelationalWrapper::new(s2, net)));
-        fed
+        fed.add_wrapper(Arc::new(RelationalWrapper::new(
+            Arc::clone(&s1),
+            Arc::clone(&net),
+        )));
+        fed.add_wrapper(Arc::new(RelationalWrapper::new(Arc::clone(&s2), net)));
+        (fed, [s1, s2])
     }
 
     #[test]
@@ -1984,44 +1896,9 @@ mod tests {
 
     #[test]
     fn failure_reroutes_to_replica() {
-        // Build a setup where we keep direct handles to the servers.
-        let branches_schema = Schema::new(vec![Column::new("id", DataType::Int)]);
-        let mut branches = Table::new("branches", branches_schema.clone());
-        for i in 0..10i64 {
-            branches.insert(Row::new(vec![Value::Int(i)])).unwrap();
-        }
-        let mut cat1 = Catalog::new();
-        cat1.register(branches.clone());
-        let mut cat2 = Catalog::new();
-        cat2.register(branches);
-        let s1 = RemoteServer::new(ServerProfile::new(ServerId::new("S1")), cat1);
-        let s2 = RemoteServer::new(ServerProfile::new(ServerId::new("S2")), cat2);
-        let mut net = Network::new();
-        net.add_link(ServerId::new("S1"), Link::lan());
-        net.add_link(ServerId::new("S2"), Link::lan());
-        let net = Arc::new(net);
-        let mut nicknames = NicknameCatalog::new();
-        nicknames.define("branches", branches_schema);
-        nicknames
-            .add_source("branches", ServerId::new("S1"), "branches")
-            .unwrap();
-        nicknames
-            .add_source("branches", ServerId::new("S2"), "branches")
-            .unwrap();
-        let mut fed = Federation::new(
-            nicknames,
-            SimClock::new(),
-            Arc::new(PassthroughMiddleware::default()),
-            FederationConfig::default(),
-        );
-        fed.add_wrapper(Arc::new(RelationalWrapper::new(
-            Arc::clone(&s1),
-            Arc::clone(&net),
-        )));
-        fed.add_wrapper(Arc::new(RelationalWrapper::new(s2, net)));
-
-        // S1 goes down *after compile time* is hard to time here; instead
+        // S1 going down *after compile time* is hard to time here; instead
         // take it down for the whole run — compile skips it, S2 serves.
+        let (fed, s1, _) = replica_world(10, 0.0);
         s1.availability()
             .add_outage(SimTime::ZERO, SimTime::from_millis(1e12));
         let out = fed.submit("SELECT COUNT(*) FROM branches").unwrap();
@@ -2030,12 +1907,21 @@ mod tests {
     }
 
     /// Two servers, each holding a full replica of a 5000-row `branches`
-    /// table (multi-chunk at BATCH_ROWS=1024), journal enabled, streaming
-    /// adaptivity at the given `stall_factor`.
-    fn streaming_fixture(stall_factor: f64) -> (Federation, Arc<RemoteServer>) {
+    /// table (multi-chunk at BATCH_ROWS=1024), journal enabled, stall
+    /// detector at the given `stall_factor`. Returns the federation, S1
+    /// and S2.
+    fn streaming_fixture(stall_factor: f64) -> (Federation, Arc<RemoteServer>, Arc<RemoteServer>) {
+        replica_world(5000, stall_factor)
+    }
+
+    /// [`streaming_fixture`] with a `rows`-row table.
+    fn replica_world(
+        rows: i64,
+        stall_factor: f64,
+    ) -> (Federation, Arc<RemoteServer>, Arc<RemoteServer>) {
         let branches_schema = Schema::new(vec![Column::new("id", DataType::Int)]);
         let mut branches = Table::new("branches", branches_schema.clone());
-        for i in 0..5000i64 {
+        for i in 0..rows {
             branches.insert(Row::new(vec![Value::Int(i)])).unwrap();
         }
         let mut cat1 = Catalog::new();
@@ -2070,8 +1956,34 @@ mod tests {
             Arc::clone(&s1),
             Arc::clone(&net),
         )));
-        fed.add_wrapper(Arc::new(RelationalWrapper::new(s2, net)));
-        (fed, s1)
+        fed.add_wrapper(Arc::new(RelationalWrapper::new(Arc::clone(&s2), net)));
+        (fed, s1, s2)
+    }
+
+    /// Attach an admission controller whose slack factor is so large that
+    /// every fragment of a finite-deadline query counts as pressured, so a
+    /// replicated nickname hedges to its second host.
+    fn attach_hedging(fed: &mut Federation) {
+        let admission = Arc::new(AdmissionController::new(qcc_admission::AdmissionConfig {
+            exec_deadline_ms: 50.0,
+            hedge_slack_factor: 1_000_000.0,
+            hedge_band: 10.0,
+            ..Default::default()
+        }));
+        admission.set_capacity(&ServerId::new("S1"), 2, SimTime::ZERO);
+        admission.set_capacity(&ServerId::new("S2"), 2, SimTime::ZERO);
+        fed.set_admission(admission);
+    }
+
+    /// The `server` field of every `fragment` event journalled for query
+    /// `qid`, in journal order.
+    fn fragment_servers(fed: &Federation, qid: QueryId) -> Vec<String> {
+        fed.obs()
+            .events_of("fragment")
+            .iter()
+            .filter(|e| e.field("query") == Some(&FieldValue::U64(qid.0)))
+            .filter_map(|e| e.str_field("server").map(str::to_owned))
+            .collect()
     }
 
     fn sorted_ids(rows: &[Row]) -> Vec<i64> {
@@ -2087,11 +1999,12 @@ mod tests {
     }
 
     #[test]
-    fn streaming_clean_path_matches_call_and_wait_exactly() {
-        // With no stalls and no faults the streamed path must reproduce
-        // the call-and-wait outcome bit for bit (same rows, same floats).
-        let (off, _) = streaming_fixture(0.0);
-        let (on, _) = streaming_fixture(1e6);
+    fn stall_detector_on_matches_detector_off_on_a_clean_path() {
+        // With no stalls and no faults the detector never fires, so a run
+        // with it on must reproduce the run without it bit for bit (same
+        // rows, same floats).
+        let (off, _, _) = streaming_fixture(0.0);
+        let (on, _, _) = streaming_fixture(1e6);
         let a = off.submit("SELECT id FROM branches").unwrap();
         let b = on.submit("SELECT id FROM branches").unwrap();
         assert_eq!(a.rows, b.rows);
@@ -2099,27 +2012,31 @@ mod tests {
         assert_eq!(a.fragment_times, b.fragment_times);
     }
 
-    #[test]
-    fn midquery_interrupt_reroutes_remainder_without_duplicates() {
-        // Dry run on a healthy fleet to learn when the fragment executes
-        // and how long it takes (all virtual time, fully deterministic).
-        let (dry, _) = streaming_fixture(1e6);
+    /// Submit a full scan on a [`streaming_fixture`] world whose serving
+    /// replica S1 crashes 30% of the way into the fragment, timed by a
+    /// dry run on a healthy twin (all virtual time, fully deterministic).
+    fn crash_mid_fragment(stall_factor: f64) -> (Federation, QueryOutcome) {
+        let (dry, _, _) = streaming_fixture(stall_factor);
         dry.submit("SELECT id FROM branches").unwrap();
         let frag = &dry.obs().events_of("fragment")[0];
         let t0 = frag.at.as_millis();
         let Some(FieldValue::F64(ms)) = frag.field("ms") else {
             panic!("fragment event lacks ms");
         };
-
-        // Fresh identical world where the serving replica crashes 30% of
-        // the way into the fragment: the stream is cut mid-service and the
-        // remainder must resume on the sibling at the cursor.
-        let (fed, s1) = streaming_fixture(1e6);
+        let (fed, s1, _) = streaming_fixture(stall_factor);
         s1.availability().add_outage(
             SimTime::from_millis(t0 + 0.3 * ms),
             SimTime::from_millis(1e12),
         );
         let out = fed.submit("SELECT id FROM branches").unwrap();
+        (fed, out)
+    }
+
+    #[test]
+    fn midquery_interrupt_reroutes_remainder_without_duplicates() {
+        // The stream is cut mid-service and the remainder must resume on
+        // the sibling at the cursor.
+        let (fed, out) = crash_mid_fragment(1e6);
         assert_eq!(
             sorted_ids(&out.rows),
             (0..5000).collect::<Vec<_>>(),
@@ -2148,11 +2065,57 @@ mod tests {
     }
 
     #[test]
+    fn without_detector_a_midquery_crash_goes_unnoticed() {
+        // The same outage with no stall detector: the cursor-0 stream is
+        // not interruptible, so S1 (up when the request arrived) serves
+        // every row and nothing is rerouted.
+        let (fed, out) = crash_mid_fragment(0.0);
+        assert_eq!(sorted_ids(&out.rows), (0..5000).collect::<Vec<_>>());
+        assert_eq!(out.fragment_times[0].0, ServerId::new("S1"));
+        let obs = fed.obs();
+        assert!(obs.events_of("fragment_stall").is_empty());
+        assert!(obs.events_of("reroute_dispatch").is_empty());
+    }
+
+    #[test]
+    fn suppressed_duplicate_in_a_stalled_slot_is_acknowledged() {
+        // Both replicas are crushed by background load, so the primary and
+        // its hedge both complete past the stall threshold. The detector
+        // keeps the primary whole (no third replica to reroute to) and
+        // suppresses the hedge's full duplicate — which, like any complete
+        // loser, must still get its `fragment` acknowledgement.
+        let (mut fed, s1, s2) = streaming_fixture(3.0);
+        attach_hedging(&mut fed);
+        s1.load().set_background(LoadProfile::Constant(0.95));
+        s2.load().set_background(LoadProfile::Constant(0.95));
+        let out = fed.submit("SELECT id FROM branches").unwrap();
+        assert_eq!(sorted_ids(&out.rows), (0..5000).collect::<Vec<_>>());
+        let obs = fed.obs();
+        assert_eq!(obs.events_of("hedge").len(), 1);
+        assert_eq!(
+            obs.counter_value("reroute_declined_total", &[("reason", "no_replica")]),
+            1,
+            "the detector kept the slow primary whole"
+        );
+        let results = obs.events_of("hedge_result");
+        assert_eq!(results.len(), 1, "the slow duplicate is suppressed");
+        let acknowledged = fragment_servers(&fed, out.id);
+        for result in &results {
+            let suppressed = result.str_field("suppressed").unwrap();
+            assert!(
+                acknowledged.iter().any(|s| s == suppressed),
+                "suppressed {suppressed} has no fragment event (got {acknowledged:?})"
+            );
+        }
+        assert_eq!(acknowledged.len(), 2, "primary and duplicate, once each");
+    }
+
+    #[test]
     fn stalled_fragment_cancels_and_reroutes_to_fast_replica() {
         // S1 is crushed by background load (the estimate is load-blind,
         // so its stream overruns stall_factor × estimate); S2 idles. The
         // detector must cancel S1 at the threshold and finish on S2.
-        let (fed, s1) = streaming_fixture(3.0);
+        let (fed, s1, _) = streaming_fixture(3.0);
         s1.load().set_background(LoadProfile::Constant(0.95));
         let out = fed.submit("SELECT id FROM branches").unwrap();
         assert_eq!(sorted_ids(&out.rows), (0..5000).collect::<Vec<_>>());
@@ -2279,18 +2242,7 @@ mod tests {
     fn pressured_fragment_hedges_to_replica_and_suppresses_duplicate() {
         let mut fed = setup();
         fed.set_obs(Obs::new());
-        // A slack factor this large marks every fragment of a
-        // finite-deadline query as pressured, so the replicated nickname
-        // must hedge to its second host.
-        let admission = Arc::new(AdmissionController::new(qcc_admission::AdmissionConfig {
-            exec_deadline_ms: 50.0,
-            hedge_slack_factor: 1_000_000.0,
-            hedge_band: 10.0,
-            ..Default::default()
-        }));
-        admission.set_capacity(&ServerId::new("S1"), 2, SimTime::ZERO);
-        admission.set_capacity(&ServerId::new("S2"), 2, SimTime::ZERO);
-        fed.set_admission(Arc::clone(&admission));
+        attach_hedging(&mut fed);
 
         let out = fed.submit("SELECT COUNT(*) FROM branches").unwrap();
         assert_eq!(
@@ -2315,5 +2267,26 @@ mod tests {
             1,
             "healthy world: both replicas answer, exactly one duplicate suppressed"
         );
+
+        // Second case, same world: crush the primary's server with load so
+        // the hedge wins. Both replicas still complete, and both are
+        // acknowledged in task order — the primary's `fragment` event
+        // precedes the hedge's, whichever won.
+        let primary = hedges[0].str_field("primary").unwrap().to_owned();
+        let hedge = hedges[0].str_field("hedge").unwrap().to_owned();
+        let (mut fed, servers) = setup_with_servers();
+        fed.set_obs(Obs::new());
+        attach_hedging(&mut fed);
+        let loaded = servers.iter().find(|s| s.id().as_str() == primary).unwrap();
+        loaded.load().set_background(LoadProfile::Constant(0.95));
+        let out = fed.submit("SELECT COUNT(*) FROM branches").unwrap();
+        assert_eq!(out.rows[0].get(0), &Value::Int(10));
+        let results = fed.obs().events_of("hedge_result");
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].str_field("winner"), Some(hedge.as_str()));
+        assert_eq!(results[0].str_field("suppressed"), Some(primary.as_str()));
+        assert_eq!(out.fragment_times[0].0.as_str(), hedge);
+        assert_eq!(fed.obs().counter_value("hedge_wins_total", &[]), 1);
+        assert_eq!(fragment_servers(&fed, out.id), vec![primary, hedge]);
     }
 }

@@ -154,28 +154,36 @@ pub trait Middleware: Send + Sync {
         effects: &mut Deferred,
     ) -> Result<(Vec<FragmentCandidate>, SimDuration)>;
 
-    /// Runtime: forward an EXECUTE to a wrapper. Implementations record
-    /// the observed response time (and errors, for the reliability factor).
+    /// Runtime: forward a one-shot EXECUTE to a wrapper. The federation
+    /// never calls this — every fragment runs through
+    /// [`Middleware::execute_fragment_stream`] — but decorators that wrap
+    /// a middleware may still forward it. The default forwards the request
+    /// untouched.
     fn execute_fragment(
         &self,
         wrapper: &dyn Wrapper,
-        query: QueryId,
-        fragment: FragmentId,
+        _query: QueryId,
+        _fragment: FragmentId,
         plan: &FragmentPlan,
         at: SimTime,
-        effects: &mut Deferred,
-    ) -> Result<WrapperResult>;
+        _effects: &mut Deferred,
+    ) -> Result<WrapperResult> {
+        wrapper.execute(plan, at)
+    }
 
-    /// Runtime: forward a resumable streamed EXECUTE to a wrapper (the
-    /// cursor protocol; see `Wrapper::execute_stream`). Unlike
-    /// [`Middleware::execute_fragment`], implementations must NOT record
-    /// success-side observations here: a stream the coordinator later
-    /// cancels must not feed its truncated response time into
-    /// calibration. The coordinator reports accepted completions through
-    /// [`Middleware::observe_fragment`] and mid-flight cancellations
-    /// through [`Middleware::observe_fragment_cancel`]. Failures
-    /// (including mid-stream interrupts) are still recorded here, at the
-    /// time the integrator observes them.
+    /// Runtime: forward an EXECUTE to a wrapper as a resumable stream (the
+    /// cursor protocol; see `Wrapper::execute_stream`). This is the
+    /// federation's only execution call: cursor 0 for a fragment's
+    /// dispatch, a later cursor for a rerouted remainder. Implementations
+    /// must NOT record success-side observations here: a stream the
+    /// coordinator later cancels must not feed its truncated response
+    /// time into calibration. The coordinator reports accepted
+    /// completions through [`Middleware::observe_fragment`] and
+    /// mid-flight cancellations through
+    /// [`Middleware::observe_fragment_cancel`]. Failures (including
+    /// mid-stream interrupts) are recorded here, at the time the
+    /// integrator observes them. Without a stall detector the federation
+    /// hands in a wrapper whose streams ignore the `interruptible` flag.
     fn execute_fragment_stream(
         &self,
         wrapper: &dyn Wrapper,
@@ -189,10 +197,12 @@ pub trait Middleware: Send + Sync {
         wrapper.execute_stream(plan, at, cursor, true)
     }
 
-    /// Coordinator acknowledgement that a streamed fragment ran to
-    /// completion and its result was accepted into the merge. Feeds the
-    /// reliability and calibration windows exactly as a call-and-wait
-    /// success would. No-op by default.
+    /// Coordinator acknowledgement that a fragment ran to completion: the
+    /// stream that won its slot, or a complete duplicate suppressed at the
+    /// merge. `observed_ms` is the whole fragment's response time from
+    /// `at`, the dispatch instant — an honest sample for the reliability
+    /// and calibration windows. Rerouted remainders are never
+    /// acknowledged. No-op by default.
     fn observe_fragment(
         &self,
         _query: QueryId,
@@ -315,18 +325,6 @@ impl Middleware for PassthroughMiddleware {
                 .collect(),
             took,
         ))
-    }
-
-    fn execute_fragment(
-        &self,
-        wrapper: &dyn Wrapper,
-        _query: QueryId,
-        _fragment: FragmentId,
-        plan: &FragmentPlan,
-        at: SimTime,
-        _effects: &mut Deferred,
-    ) -> Result<WrapperResult> {
-        wrapper.execute(plan, at)
     }
 }
 

@@ -244,7 +244,7 @@ impl RemoteServer {
     /// service time. May fail with [`QccError::ServerUnavailable`] (down)
     /// or [`QccError::ServerFault`] (transient fault, per `fault_rate`).
     ///
-    /// This is the call-and-wait view over [`RemoteServer::execute_stream`]
+    /// This is the one-shot view over [`RemoteServer::execute_stream`]
     /// with cursor 0 and no mid-service interruption; the service-time
     /// arithmetic is float-identical to the pre-streaming implementation.
     pub fn execute(&self, descriptor: &PlanNode, at: SimTime) -> Result<RemoteResult> {
@@ -385,7 +385,7 @@ impl RemoteServer {
             ),
         };
         // A complete cursor-0 stream reports the full result size
-        // verbatim (byte-identical to the call-and-wait path).
+        // verbatim (byte-identical to one-shot `execute`).
         if cursor == 0 && status == RemoteStreamStatus::Complete {
             result_bytes = work.result_bytes;
         }

@@ -124,9 +124,9 @@ pub struct SimConfig {
     /// classic mode.
     pub replication: usize,
     /// Mid-query adaptivity: the federation's `stall_factor`. `0.0` (also
-    /// the value replay lines omit) keeps call-and-wait execution and
-    /// byte-identical legacy journals; > 0 streams fragments with
-    /// stall-cancel and remainder reroute (DESIGN.md §15).
+    /// the value replay lines omit) runs without a stall detector; > 0
+    /// adds stall-cancel and remainder reroute of the streamed fragments
+    /// (DESIGN.md §15).
     pub reroute: f64,
     /// The fault schedule.
     pub faults: Vec<FaultSpec>,

@@ -554,9 +554,8 @@ fn bounded_stall(a: &RunArtifacts, config: &SimConfig, out: &mut Vec<Violation>)
         return;
     }
     const EPS: f64 = 1e-6;
-    // `world::build` leaves every adaptivity knob but `stall_factor` at
-    // its federation default, including the probe interval.
-    let probe_ms = qcc_federation::FederationConfig::default().reroute_probe_ms;
+    // The detector's probe interval is a federation constant.
+    let probe_ms = qcc_federation::REROUTE_PROBE_MS;
     let crash_windows: Vec<(f64, f64)> = config
         .faults
         .iter()

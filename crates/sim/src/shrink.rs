@@ -46,7 +46,7 @@ pub fn shrink(config: &SimConfig, bug: &BugSwitches, budget: usize) -> Shrunk {
 
         // Disable mid-query adaptivity: if the failure reproduces with
         // reroute off, the stall/reroute machinery is not implicated and
-        // the replay line shrinks to the legacy call-and-wait path.
+        // the replay line shrinks to a run without the stall detector.
         if current.reroute > 0.0 && evaluated < budget {
             let mut candidate = current.clone();
             candidate.reroute = 0.0;
@@ -160,8 +160,8 @@ mod tests {
     #[test]
     fn shrink_disables_reroute_when_not_implicated() {
         // drop_completion fails regardless of adaptivity, so the shrinker
-        // must turn the reroute knob off (the shrunk replay line then
-        // exercises the legacy call-and-wait path).
+        // must turn the reroute knob off (the shrunk replay line then runs
+        // without the stall detector).
         let config = parse(
             "sim(seed: 3, servers: [], large_rows: 60, small_rows: 12, arrivals: 8, \
              rate_per_ms: 0.1, retry_limit: 2, fleet: 24, replication: 3, reroute: 3.0, \

@@ -13,7 +13,7 @@ use qcc_common::{FragmentId, QueryId, Result, ServerId, SimDuration, SimTime};
 use qcc_federation::{
     Deferred, FragmentCandidate, GlobalCandidate, Middleware, PassthroughMiddleware,
 };
-use qcc_wrapper::{FragmentPlan, Wrapper, WrapperResult};
+use qcc_wrapper::Wrapper;
 use std::collections::BTreeMap;
 
 /// The paper's registration-time assignment (Figure 10's baseline).
@@ -72,19 +72,6 @@ impl Middleware for FixedRoutingMiddleware {
     ) -> Result<(Vec<FragmentCandidate>, SimDuration)> {
         self.inner
             .plan_fragment(wrapper, query, fragment, sql, at, effects)
-    }
-
-    fn execute_fragment(
-        &self,
-        wrapper: &dyn Wrapper,
-        query: QueryId,
-        fragment: FragmentId,
-        plan: &FragmentPlan,
-        at: SimTime,
-        effects: &mut Deferred,
-    ) -> Result<WrapperResult> {
-        self.inner
-            .execute_fragment(wrapper, query, fragment, plan, at, effects)
     }
 
     fn choose_global(

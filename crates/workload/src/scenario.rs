@@ -66,10 +66,9 @@ pub struct ScenarioConfig {
     /// fragment set.
     pub replication_factor: usize,
     /// Mid-query adaptivity knob handed to
-    /// `FederationConfig::stall_factor`. 0.0 (the default sentinel) keeps
-    /// the call-and-wait execution path and byte-identical goldens; > 0
-    /// enables streamed fragments with stall-cancel and remainder reroute
-    /// (DESIGN.md §15).
+    /// `FederationConfig::stall_factor`. 0.0 (the default) runs without a
+    /// stall detector; > 0 enables stall-cancel and remainder reroute of
+    /// the streamed fragments (DESIGN.md §15).
     pub stall_factor: f64,
 }
 

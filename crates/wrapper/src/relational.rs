@@ -120,8 +120,8 @@ impl Wrapper for RelationalWrapper {
             .collect();
         let (outcome, response_time) = match stream.status {
             RemoteStreamStatus::Complete => {
-                // Same charge as the call-and-wait path: one result
-                // transfer for the delivered bytes, issued at service end.
+                // Same charge as one-shot `execute`: one result transfer
+                // for the delivered bytes, issued at service end.
                 let served = arrived + stream.elapsed;
                 let response = self
                     .network

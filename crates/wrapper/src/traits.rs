@@ -96,8 +96,8 @@ pub struct WrapperStream {
     /// Total chunks in the full (cursor-0) result.
     pub total_chunks: usize,
     /// For a complete stream: end-to-end response time (request transfer
-    /// + remaining service + result transfer), identical to the
-    /// call-and-wait path when `cursor` is 0. For an interrupted stream:
+    /// + remaining service + result transfer), identical to one-shot
+    /// [`Wrapper::execute`] when `cursor` is 0. For an interrupted stream:
     /// time until the interrupt surfaced at the integrator.
     pub response_time: SimDuration,
     /// Bytes of the delivered chunks.

@@ -2,7 +2,7 @@
 //! re-routing, recovery, and the reliability factor for flaky servers.
 
 use load_aware_federation::common::{
-    Column, DataType, QccError, Row, Schema, ServerId, SimDuration, SimTime, Value,
+    Column, DataType, Obs, QccError, Row, Schema, ServerId, SimDuration, SimTime, Value,
 };
 use load_aware_federation::federation::{
     Federation, FederationConfig, NicknameCatalog, PassthroughMiddleware,
@@ -258,4 +258,98 @@ fn baseline_without_qcc_does_not_track_availability() {
     assert!(out.servers.contains(&ServerId::new("b")));
     // ...but every single compile re-contacts the dead server (no memory),
     // which is precisely the cost QCC's availability state removes.
+}
+
+/// `ta` on s0, `tb` on s1 (fast) and its replica s1b, `tc` on s2, under
+/// the QCC middleware with no stall detector, journalling into one `Obs`.
+/// The servers come back in that order.
+fn three_fragment_world() -> (Federation, Arc<Qcc>, Obs, Vec<Arc<RemoteServer>>) {
+    let schema = Schema::new(vec![Column::new("k", DataType::Int)]);
+    let mut network = Network::new();
+    let mut nicknames = NicknameCatalog::new();
+    for name in ["ta", "tb", "tc"] {
+        nicknames.define(name, schema.clone());
+    }
+    let mut servers = Vec::new();
+    for (name, host, speed) in [
+        ("ta", "s0", 1.0),
+        ("tb", "s1", 2.0),
+        ("tb", "s1b", 1.0),
+        ("tc", "s2", 1.0),
+    ] {
+        let mut table = Table::new(name, schema.clone());
+        for i in 0..50i64 {
+            table.insert(Row::new(vec![Value::Int(i)])).unwrap();
+        }
+        let mut catalog = Catalog::new();
+        catalog.register(table);
+        let mut profile = ServerProfile::new(ServerId::new(host));
+        profile.speed = speed;
+        servers.push(RemoteServer::new(profile, catalog));
+        network.add_link(ServerId::new(host), Link::lan());
+        nicknames
+            .add_source(name, ServerId::new(host), name)
+            .unwrap();
+    }
+    let network = Arc::new(network);
+    let obs = Obs::new();
+    let qcc = Qcc::with_obs(QccConfig::default(), obs.clone());
+    let mut federation = Federation::new(
+        nicknames,
+        SimClock::new(),
+        qcc.middleware(),
+        FederationConfig::default(),
+    );
+    federation.set_obs(obs.clone());
+    for server in &servers {
+        federation.add_wrapper(Arc::new(RelationalWrapper::new(
+            Arc::clone(server),
+            Arc::clone(&network),
+        )));
+    }
+    (federation, qcc, obs, servers)
+}
+
+#[test]
+fn fragments_that_ran_are_acknowledged_when_a_sibling_fragment_fails() {
+    // s1 goes down at the dispatch instant, after its EXPLAIN answered
+    // (timed by a dry run on a healthy twin), so the first dispatch loses
+    // the middle fragment while its siblings run to completion. Both
+    // siblings must still be counted, journalled and calibrated, in task
+    // order around the failure, before the retry finishes on s1b.
+    const JOIN3: &str = "SELECT COUNT(*) FROM ta JOIN tb ON ta.k = tb.k JOIN tc ON tb.k = tc.k";
+    let (dry, _, dry_obs, _) = three_fragment_world();
+    dry.submit(JOIN3).unwrap();
+    let dispatch = dry_obs.events_of("fragment")[0].at;
+    let (federation, qcc, obs, servers) = three_fragment_world();
+    servers[1]
+        .availability()
+        .add_outage(dispatch, SimTime::from_millis(1e9));
+    let out = federation.submit(JOIN3).unwrap();
+    assert_eq!(out.rows[0].get(0), &Value::Int(50));
+    let journal: Vec<String> = obs
+        .journal()
+        .iter()
+        .filter(|e| matches!(e.kind, "fragment" | "server_down" | "server_banned"))
+        .map(|e| format!("{} {}", e.kind, e.str_field("server").unwrap_or("-")))
+        .collect();
+    let expected = [
+        "fragment s0",
+        "server_down s1",
+        "fragment s2",
+        "server_banned s1",
+    ];
+    assert_eq!(journal[..4], expected);
+    assert_eq!(journal[4..], ["fragment s0", "fragment s1b", "fragment s2"]);
+    // Each acknowledgement is one `fragments_total` count and one run
+    // record (the record that also feeds calibration and reliability).
+    for (server, n) in [("s0", 2), ("s1", 0), ("s1b", 1), ("s2", 2)] {
+        let runs = qcc.records.runs_for_server(&ServerId::new(server)).len();
+        assert_eq!(runs as u64, n, "{server}");
+        assert_eq!(
+            obs.counter_value("fragments_total", &[("server", server)]),
+            n,
+            "{server}"
+        );
+    }
 }
